@@ -1,15 +1,26 @@
 GO ?= go
 
-.PHONY: tier1 build test bench bench-gate bench-baseline sched-gate vi-gate race refconv vet lint lint-report chaos chaos-cluster fuzz-smoke cover trace progcheck
+.PHONY: tier1 build test bench bench-gate bench-baseline sched-gate vi-gate race refconv vet lint lint-report chaos chaos-cluster fuzz-smoke cover trace progcheck benchmark-smoke loc
 
 # tier1 is the gate every change must keep green.
-tier1: build vet lint test race fuzz-smoke cover trace progcheck bench-gate chaos-cluster
+tier1: build vet lint test benchmark-smoke race fuzz-smoke cover trace progcheck bench-gate chaos-cluster
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness (BENCHMARK.json, benchmark/) is a module of its own,
+# so `go test ./...` at the root cannot see its test: every workload at
+# smoke size, with every output check on.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
+
+# Non-test Go lines outside benchmark/ and testdata/: ROADMAP aim 2 says net
+# LOC should fall, and this is the number it means.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Datapath micro-benchmarks (MACs/s per layer shape, snapshot round trip)
 # plus the repo-level experiment benchmarks.

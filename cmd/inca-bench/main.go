@@ -11,8 +11,7 @@
 //	inca-bench -suite=cluster|sched|vi -gate BENCH_<suite>.json
 //
 // A bare -gate PATH without -suite keeps its historical meaning: the
-// datapath suite. The pre-suite spellings (-datapath, -cluster,
-// -cluster-gate, -sched, -sched-gate) remain as deprecated aliases.
+// datapath suite.
 package main
 
 import (
@@ -30,74 +29,60 @@ import (
 )
 
 func main() {
-	var (
-		exps       = flag.String("e", "all", "experiments to run: all or comma list of E1..E14")
-		scaleStr   = flag.String("scale", "quick", "quick (reduced inputs, seconds) or full (paper-scale 480x640)")
-		outPath    = flag.String("o", "", "also write results to this file")
-		formatMD   = flag.Bool("md", false, "render tables as markdown")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-		benchJSON  = flag.String("benchjson", "", "write all result tables as a JSON array to this file")
-		traceOut   = flag.String("trace", "", "run the two-task preemption workload with tracing and write Perfetto JSON here (metrics beside it)")
-		traceCap   = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
-		suite      = flag.String("suite", "", "benchmark suite: datapath, cluster, sched, or vi (use with -snapshot and/or -gate)")
-		snapshot   = flag.String("snapshot", "", "run the selected -suite and write its schema-versioned snapshot here (e.g. BENCH_datapath.json)")
-		gate       = flag.String("gate", "", "run the selected -suite (datapath when -suite is absent) and fail on regression vs this baseline snapshot")
-		reps       = flag.Int("reps", 3, "wall-clock best-of repetitions for the datapath suite")
-		datapath   = flag.String("datapath", "", "deprecated alias for -suite=datapath -snapshot PATH")
-		clusterOut = flag.String("cluster", "", "deprecated alias for -suite=cluster -snapshot PATH")
-		clusterGt  = flag.String("cluster-gate", "", "deprecated alias for -suite=cluster -gate PATH")
-		schedOut   = flag.String("sched", "", "deprecated alias for -suite=sched -snapshot PATH")
-		schedGt    = flag.String("sched-gate", "", "deprecated alias for -suite=sched -gate PATH")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// Fold the pre-suite flag pairs into the (suite, snapshot, gate) triple.
-	suiteName, snapPath, gatePath := *suite, *snapshot, *gate
-	for _, alias := range []struct {
-		val, suite string
-		gate       bool
-	}{
-		{*datapath, "datapath", false},
-		{*clusterOut, "cluster", false},
-		{*clusterGt, "cluster", true},
-		{*schedOut, "sched", false},
-		{*schedGt, "sched", true},
-	} {
-		if alias.val == "" {
-			continue
-		}
-		if suiteName != "" && suiteName != alias.suite {
-			fatalf("conflicting suites: -suite=%s vs a -%s-style flag", suiteName, alias.suite)
-		}
-		suiteName = alias.suite
-		if alias.gate {
-			gatePath = alias.val
-		} else {
-			snapPath = alias.val
-		}
+func run(args []string, stdout, errw io.Writer) int {
+	fs := flag.NewFlagSet("inca-bench", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		exps       = fs.String("e", "all", "experiments to run: all or comma list of E1..E14")
+		scaleStr   = fs.String("scale", "quick", "quick (reduced inputs, seconds) or full (paper-scale 480x640)")
+		outPath    = fs.String("o", "", "also write results to this file")
+		formatMD   = fs.Bool("md", false, "render tables as markdown")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+		benchJSON  = fs.String("benchjson", "", "write all result tables as a JSON array to this file")
+		traceOut   = fs.String("trace", "", "run the two-task preemption workload with tracing and write Perfetto JSON here (metrics beside it)")
+		traceCap   = fs.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
+		suiteName  = fs.String("suite", "", "benchmark suite: datapath, cluster, sched, or vi (use with -snapshot and/or -gate)")
+		snapPath   = fs.String("snapshot", "", "run the selected -suite and write its schema-versioned snapshot here (e.g. BENCH_datapath.json)")
+		gatePath   = fs.String("gate", "", "run the selected -suite (datapath when -suite is absent) and fail on regression vs this baseline snapshot")
+		reps       = fs.Int("reps", 3, "wall-clock best-of repetitions for the datapath suite")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 1
 	}
-	if suiteName == "" && gatePath != "" {
+	fail := func(format string, a ...interface{}) int {
+		fmt.Fprintf(errw, "inca-bench: "+format+"\n", a...)
+		return 1
+	}
+
+	if *suiteName == "" && *gatePath != "" {
 		// Historical spelling: a bare -gate PATH means the datapath suite.
-		suiteName = "datapath"
+		*suiteName = "datapath"
 	}
-	if suiteName != "" {
-		switch suiteName {
+	if *suiteName != "" {
+		var err error
+		switch *suiteName {
 		case "datapath":
-			runDatapath(snapPath, gatePath, *reps, *formatMD)
+			err = runSuite(datapathSuite(*reps), *snapPath, *gatePath, *formatMD, stdout, errw)
 		case "cluster":
-			runClusterBench(snapPath, gatePath, *formatMD)
+			err = runSuite(clusterSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
 		case "sched":
-			runSchedBench(snapPath, gatePath, *formatMD)
+			err = runSuite(schedSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
 		case "vi":
-			runVIBench(snapPath, gatePath, *formatMD)
+			err = runSuite(viSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
 		default:
-			fatalf("unknown -suite %q (datapath|cluster|sched|vi)", suiteName)
+			return fail("unknown -suite %q (datapath|cluster|sched|vi)", *suiteName)
 		}
-		return
+		if err != nil {
+			return fail("%v", err)
+		}
+		return 0
 	}
-	if snapPath != "" {
-		fatalf("-snapshot needs -suite (datapath|cluster|sched|vi)")
+	if *snapPath != "" {
+		return fail("-snapshot needs -suite (datapath|cluster|sched|vi)")
 	}
 
 	scale := bench.Quick
@@ -106,92 +91,95 @@ func main() {
 	case "full":
 		scale = bench.Full
 	default:
-		fatalf("unknown -scale %q (quick|full)", *scaleStr)
+		return fail("unknown -scale %q (quick|full)", *scaleStr)
 	}
 
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatalf("create %s: %v", *outPath, err)
+			return fail("create %s: %v", *outPath, err)
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(stdout, f)
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("create %s: %v", *cpuProfile, err)
+			return fail("create %s: %v", *cpuProfile, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("start cpu profile: %v", err)
+			return fail("start cpu profile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
+	}
+
+	writeJSON := func(tables []*bench.Table) error {
+		if *benchJSON == "" {
+			return nil
+		}
+		f, err := os.Create(*benchJSON)
+		if err != nil {
+			return fmt.Errorf("create %s: %v", *benchJSON, err)
+		}
+		defer f.Close()
+		if err := bench.WriteJSON(f, tables); err != nil {
+			return fmt.Errorf("write %s: %v", *benchJSON, err)
+		}
+		return f.Close()
 	}
 
 	if *traceOut != "" {
 		tr, t, err := bench.TraceRun(scale, *traceCap)
 		if err != nil {
-			fatalf("trace run: %v", err)
+			return fail("trace run: %v", err)
 		}
 		printTable(out, t, *formatMD)
 		if err := trace.WriteFiles(tr, *traceOut, "inca-bench trace"); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		fmt.Fprintf(out, "wrote %s (%d events, %d dropped) and %s\n",
 			*traceOut, len(tr.Events()), tr.Dropped(), trace.MetricsPath(*traceOut))
-		if *benchJSON != "" {
-			f, jerr := os.Create(*benchJSON)
-			if jerr != nil {
-				fatalf("create %s: %v", *benchJSON, jerr)
-			}
-			if jerr := bench.WriteJSON(f, []*bench.Table{t}); jerr != nil {
-				fatalf("write %s: %v", *benchJSON, jerr)
-			}
-			f.Close()
+		if err := writeJSON([]*bench.Table{t}); err != nil {
+			return fail("%v", err)
 		}
-		return
+		return 0
 	}
 
-	tables, err := run(*exps, scale)
+	// Tables finished before a failing experiment still reach -o/-benchjson.
+	tables, err := runExperiments(*exps, scale)
 	for _, t := range tables {
 		printTable(out, t, *formatMD)
 	}
-	if *benchJSON != "" {
-		f, jerr := os.Create(*benchJSON)
-		if jerr != nil {
-			fatalf("create %s: %v", *benchJSON, jerr)
-		}
-		if jerr := bench.WriteJSON(f, tables); jerr != nil {
-			fatalf("write %s: %v", *benchJSON, jerr)
-		}
-		f.Close()
+	if jerr := writeJSON(tables); jerr != nil {
+		return fail("%v", jerr)
 	}
 	if *memProfile != "" {
 		f, merr := os.Create(*memProfile)
 		if merr != nil {
-			fatalf("create %s: %v", *memProfile, merr)
+			return fail("create %s: %v", *memProfile, merr)
 		}
+		defer f.Close()
 		runtime.GC()
 		if merr := pprof.WriteHeapProfile(f); merr != nil {
-			fatalf("write heap profile: %v", merr)
+			return fail("write heap profile: %v", merr)
 		}
-		f.Close()
+		if merr := f.Close(); merr != nil {
+			return fail("write heap profile: %v", merr)
+		}
 	}
 	if err != nil {
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
+	return 0
 }
 
-// run executes the requested experiments and returns every table produced,
-// including the ones finished before an error (so partial results still
-// reach -o/-benchjson).
-func run(exps string, scale bench.Scale) ([]*bench.Table, error) {
+// runExperiments executes the requested experiments and returns every table
+// produced, including the ones finished before an error (so partial results
+// still reach -o/-benchjson).
+func runExperiments(exps string, scale bench.Scale) ([]*bench.Table, error) {
 	runners := map[string]func(bench.Scale) (*bench.Table, error){
 		"E2":  bench.E2NetworkSweep,
 		"E3":  bench.E3BackupVsConv,
@@ -254,196 +242,111 @@ func run(exps string, scale bench.Scale) ([]*bench.Table, error) {
 	return tables, nil
 }
 
-// runDatapath handles -datapath (write a fresh snapshot) and -gate (compare
-// against a checked-in baseline). INCA_BENCH_GATE=off skips the comparison,
-// INCA_BENCH_GATE_TOL widens the allowed drop for noisy boxes.
-func runDatapath(outPath, gatePath string, reps int, md bool) {
-	if gatePath != "" && os.Getenv("INCA_BENCH_GATE") == "off" {
-		fmt.Println("bench-gate: skipped (INCA_BENCH_GATE=off)")
-		return
-	}
-	snap, t, err := bench.Datapath(reps)
-	if err != nil {
-		fatalf("datapath: %v", err)
-	}
-	snap.GitRev = gitRev()
-	printTable(os.Stdout, t, md)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatalf("create %s: %v", outPath, err)
-		}
-		if err := bench.WriteDatapath(f, snap); err != nil {
-			fatalf("write %s: %v", outPath, err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (schema v%d, rev %s)\n", outPath, snap.Schema, snap.GitRev)
-	}
-	if gatePath != "" {
-		baseline, err := bench.ReadDatapath(gatePath)
-		if err != nil {
-			fatalf("gate baseline: %v", err)
-		}
-		tol := bench.GateTolerancePct()
-		fails, notes := bench.Gate(baseline, snap, tol)
-		for _, n := range notes {
-			fmt.Printf("bench-gate: note: %s\n", n)
-		}
-		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "bench-gate: %s\n", f)
-			}
-			fatalf("modeled throughput regressed vs %s (baseline rev %s, tolerance %.1f%%)",
-				gatePath, baseline.GitRev, tol)
-		}
-		fmt.Printf("bench-gate: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
-			gatePath, baseline.GitRev, tol)
+// suite adapts one internal/bench suite — its snapshot type S and the
+// Write/Read/Gate triplet over it — to the shared snapshot-and-gate driver.
+type suite[S any] struct {
+	// name prefixes the gate's messages; regressed is what a failed gate says
+	// got worse.
+	name, regressed string
+	measure         func() (*S, *bench.Table, error)
+	// header exposes the snapshot's schema version and its git_rev field.
+	header func(*S) (schema int, rev *string)
+	write  func(io.Writer, *S) error
+	read   func(path string) (*S, error)
+	gate   func(baseline, current *S, tolPct float64) (fails, notes []string)
+}
+
+func datapathSuite(reps int) suite[bench.DatapathSnapshot] {
+	return suite[bench.DatapathSnapshot]{
+		name: "bench-gate", regressed: "modeled throughput",
+		measure: func() (*bench.DatapathSnapshot, *bench.Table, error) { return bench.Datapath(reps) },
+		header:  func(s *bench.DatapathSnapshot) (int, *string) { return s.Schema, &s.GitRev },
+		write:   bench.WriteDatapath, read: bench.ReadDatapath, gate: bench.Gate,
 	}
 }
 
-// runClusterBench handles -cluster (write a fresh serving snapshot) and
-// -cluster-gate (compare against the checked-in baseline). The sweep is
-// fully deterministic (cycle model), so the same INCA_BENCH_GATE switch and
-// tolerance knob apply.
-func runClusterBench(outPath, gatePath string, md bool) {
-	if gatePath != "" && os.Getenv("INCA_BENCH_GATE") == "off" {
-		fmt.Println("cluster-gate: skipped (INCA_BENCH_GATE=off)")
-		return
-	}
-	snap, t, err := bench.ClusterBench()
-	if err != nil {
-		fatalf("cluster: %v", err)
-	}
-	snap.GitRev = gitRev()
-	printTable(os.Stdout, t, md)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatalf("create %s: %v", outPath, err)
-		}
-		if err := bench.WriteCluster(f, snap); err != nil {
-			fatalf("write %s: %v", outPath, err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (schema v%d, rev %s)\n", outPath, snap.Schema, snap.GitRev)
-	}
-	if gatePath != "" {
-		baseline, err := bench.ReadCluster(gatePath)
-		if err != nil {
-			fatalf("cluster-gate baseline: %v", err)
-		}
-		tol := bench.GateTolerancePct()
-		fails, notes := bench.GateCluster(baseline, snap, tol)
-		for _, n := range notes {
-			fmt.Printf("cluster-gate: note: %s\n", n)
-		}
-		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "cluster-gate: %s\n", f)
-			}
-			fatalf("serving quality regressed vs %s (baseline rev %s, tolerance %.1f%%)",
-				gatePath, baseline.GitRev, tol)
-		}
-		fmt.Printf("cluster-gate: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
-			gatePath, baseline.GitRev, tol)
-	}
+// The cluster sweep is fully deterministic (cycle model).
+var clusterSuite = suite[bench.ClusterSnapshot]{
+	name: "cluster-gate", regressed: "serving quality",
+	measure: bench.ClusterBench,
+	header:  func(s *bench.ClusterSnapshot) (int, *string) { return s.Schema, &s.GitRev },
+	write:   bench.WriteCluster, read: bench.ReadCluster, gate: bench.GateCluster,
 }
 
-// runSchedBench handles -sched (write a fresh scheduling snapshot) and
-// -sched-gate (compare against the checked-in baseline). On top of the
-// regression checks, the gate enforces that the predictive scenario never
-// attains less SLA than the static-priority baseline it falls back to.
-func runSchedBench(outPath, gatePath string, md bool) {
-	if gatePath != "" && os.Getenv("INCA_BENCH_GATE") == "off" {
-		fmt.Println("sched-gate: skipped (INCA_BENCH_GATE=off)")
-		return
-	}
-	snap, t, err := bench.SchedBench()
-	if err != nil {
-		fatalf("sched: %v", err)
-	}
-	snap.GitRev = gitRev()
-	printTable(os.Stdout, t, md)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatalf("create %s: %v", outPath, err)
-		}
-		if err := bench.WriteSched(f, snap); err != nil {
-			fatalf("write %s: %v", outPath, err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (schema v%d, rev %s)\n", outPath, snap.Schema, snap.GitRev)
-	}
-	if gatePath != "" {
-		baseline, err := bench.ReadSched(gatePath)
-		if err != nil {
-			fatalf("sched-gate baseline: %v", err)
-		}
-		tol := bench.GateTolerancePct()
-		fails, notes := bench.GateSched(baseline, snap, tol)
-		for _, n := range notes {
-			fmt.Printf("sched-gate: note: %s\n", n)
-		}
-		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "sched-gate: %s\n", f)
-			}
-			fatalf("scheduling quality regressed vs %s (baseline rev %s, tolerance %.1f%%)",
-				gatePath, baseline.GitRev, tol)
-		}
-		fmt.Printf("sched-gate: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
-			gatePath, baseline.GitRev, tol)
-	}
+// On top of the regression checks, the sched gate enforces that the
+// predictive scenario never attains less SLA than the static-priority
+// baseline it falls back to.
+var schedSuite = suite[bench.SchedSnapshot]{
+	name: "sched-gate", regressed: "scheduling quality",
+	measure: bench.SchedBench,
+	header:  func(s *bench.SchedSnapshot) (int, *string) { return s.Schema, &s.GitRev },
+	write:   bench.WriteSched, read: bench.ReadSched, gate: bench.GateSched,
 }
 
-// runVIBench handles -suite=vi: snapshot (and/or gate) the interrupt-point
-// placement sweep — footprint and proven-vs-measured response of the VIEvery
-// and VIBudget streams on the DSLAM model set. On top of the regression
-// checks the gate enforces, baseline-free, that no measured response exceeds
-// its proven bound and that the optimizer genuinely pruned.
-func runVIBench(outPath, gatePath string, md bool) {
+// The vi suite is the interrupt-point placement sweep — footprint and
+// proven-vs-measured response of the VIEvery and VIBudget streams on the
+// DSLAM model set. On top of the regression checks its gate enforces,
+// baseline-free, that no measured response exceeds its proven bound and that
+// the optimizer genuinely pruned.
+var viSuite = suite[bench.VISnapshot]{
+	name: "vi-gate", regressed: "interrupt-point placement",
+	measure: bench.VIBench,
+	header:  func(s *bench.VISnapshot) (int, *string) { return s.Schema, &s.GitRev },
+	write:   bench.WriteVI, read: bench.ReadVI, gate: bench.GateVI,
+}
+
+// runSuite measures one suite, writes a fresh snapshot (-snapshot) and/or
+// compares it against a checked-in baseline (-gate). INCA_BENCH_GATE=off
+// skips the comparison, INCA_BENCH_GATE_TOL widens the allowed drop for
+// noisy boxes.
+func runSuite[S any](s suite[S], snapPath, gatePath string, md bool, stdout, errw io.Writer) error {
 	if gatePath != "" && os.Getenv("INCA_BENCH_GATE") == "off" {
-		fmt.Println("vi-gate: skipped (INCA_BENCH_GATE=off)")
-		return
+		fmt.Fprintf(stdout, "%s: skipped (INCA_BENCH_GATE=off)\n", s.name)
+		return nil
 	}
-	snap, t, err := bench.VIBench()
+	snap, t, err := s.measure()
 	if err != nil {
-		fatalf("vi: %v", err)
+		return fmt.Errorf("%s: %v", s.name, err)
 	}
-	snap.GitRev = gitRev()
-	printTable(os.Stdout, t, md)
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	schema, rev := s.header(snap)
+	*rev = gitRev()
+	printTable(stdout, t, md)
+	if snapPath != "" {
+		f, err := os.Create(snapPath)
 		if err != nil {
-			fatalf("create %s: %v", outPath, err)
+			return fmt.Errorf("create %s: %v", snapPath, err)
 		}
-		if err := bench.WriteVI(f, snap); err != nil {
-			fatalf("write %s: %v", outPath, err)
+		defer f.Close()
+		if err := s.write(f, snap); err != nil {
+			return fmt.Errorf("write %s: %v", snapPath, err)
 		}
-		f.Close()
-		fmt.Printf("wrote %s (schema v%d, rev %s)\n", outPath, snap.Schema, snap.GitRev)
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("write %s: %v", snapPath, err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (schema v%d, rev %s)\n", snapPath, schema, *rev)
 	}
 	if gatePath != "" {
-		baseline, err := bench.ReadVI(gatePath)
+		baseline, err := s.read(gatePath)
 		if err != nil {
-			fatalf("vi-gate baseline: %v", err)
+			return fmt.Errorf("%s baseline: %v", s.name, err)
 		}
+		_, baseRev := s.header(baseline)
 		tol := bench.GateTolerancePct()
-		fails, notes := bench.GateVI(baseline, snap, tol)
+		fails, notes := s.gate(baseline, snap, tol)
 		for _, n := range notes {
-			fmt.Printf("vi-gate: note: %s\n", n)
+			fmt.Fprintf(stdout, "%s: note: %s\n", s.name, n)
+		}
+		for _, f := range fails {
+			fmt.Fprintf(errw, "%s: %s\n", s.name, f)
 		}
 		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "vi-gate: %s\n", f)
-			}
-			fatalf("interrupt-point placement regressed vs %s (baseline rev %s, tolerance %.1f%%)",
-				gatePath, baseline.GitRev, tol)
+			return fmt.Errorf("%s regressed vs %s (baseline rev %s, tolerance %.1f%%)",
+				s.regressed, gatePath, *baseRev, tol)
 		}
-		fmt.Printf("vi-gate: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
-			gatePath, baseline.GitRev, tol)
+		fmt.Fprintf(stdout, "%s: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
+			s.name, gatePath, *baseRev, tol)
 	}
+	return nil
 }
 
 // gitRev best-effort resolves the working tree's short revision for the
@@ -454,11 +357,6 @@ func gitRev() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "inca-bench: "+format+"\n", args...)
-	os.Exit(1)
 }
 
 func printTable(w io.Writer, t *bench.Table, md bool) {

@@ -1,6 +1,6 @@
 package bench
 
-// The datapath benchmark behind `inca-bench -datapath` and `make bench-gate`:
+// The datapath benchmark behind `inca-bench -suite=datapath` and `make bench-gate`:
 // it measures the batched serving datapath (PR "batched inference" tentpole)
 // on a fixed kernel suite and emits a schema-versioned snapshot that is
 // checked in as BENCH_datapath.json. The regression gate compares the

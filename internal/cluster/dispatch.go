@@ -50,51 +50,10 @@ func (c *cluster) installCallbacks(e *engine) {
 	e.u.OnPreempt = func(p *iau.Preemption) {
 		// Work-shifting migration: a parked victim whose priority slot is
 		// free on another healthy engine moves there instead of waiting out
-		// its preemptor. Its backup lives in shared DDR, so the CRC-checked
-		// token resumes bit-exactly — mid-batch parks included.
-		req := e.u.PeekPreempted(p.Victim)
-		if req == nil {
-			return
-		}
-		ts := c.taskOf[req]
-		if ts == nil {
-			return
-		}
-		target := -1
-		for _, o := range c.engines {
-			if o.id != e.id && o.health == Healthy && o.u.SlotFree(p.Victim) &&
-				o.slotLoad[p.Victim] == 0 {
-				target = o.id
-				break
-			}
-		}
-		if target == -1 {
-			return
-		}
-		tok, err := e.u.StealPreempted(p.Victim)
-		if err != nil {
-			return
-		}
-		dst := c.engines[target]
-		// Bring the idle target up to the backup-completion instant so the
-		// migrated task cannot time-travel on the destination clock.
-		if err := dst.u.Run(p.BackupDoneCycle); err != nil {
+		// its preemptor.
+		if err := c.migrateParked(e, p.Victim, p.BackupDoneCycle); err != nil {
 			c.migErr = err
-			return
 		}
-		if err := dst.u.InjectPreempted(p.Victim, tok); err != nil {
-			// Target turned out busy after its clock advanced: roll back.
-			if err2 := e.u.InjectPreempted(p.Victim, tok); err2 != nil {
-				c.migErr = err2
-			}
-			return
-		}
-		c.moveTask(ts, e, dst, p.Victim)
-		dst.bindPred(p.Victim, ts.task)
-		ts.outcome.Migrations++
-		c.stats.Migrations++
-		e.stats.MigratedOut++
-		c.cfg.Tracer.Mark(trace.KindMigrate, e.id, p.BackupDoneCycle, uint64(target), ts.task.Name)
 	}
 
 	e.u.OnFail = func(comp iau.Completion, _ error) {
@@ -125,6 +84,49 @@ func (c *cluster) moveTask(ts *taskState, from, to *engine, slot int) {
 	to.outstanding++
 	to.slotLoad[slot]++
 	ts.engine = to.id
+}
+
+// migrateParked moves the preempted request parked on e's slot to a healthy
+// engine whose matching slot is entirely free, if there is one. Its backup
+// lives in shared DDR, so the CRC-checked token resumes bit-exactly —
+// mid-batch parks included. The destination's clock is brought up to cycle
+// first, so the migrated task cannot time-travel, and the slot is checked
+// again afterwards: work finishing inside that advance can get it refilled,
+// and once the victim is stolen its inject must not be refusable (the source
+// slot may already have moved on, so there is no way back).
+func (c *cluster) migrateParked(e *engine, slot int, cycle uint64) error {
+	req := e.u.PeekPreempted(slot)
+	if req == nil {
+		return nil
+	}
+	ts := c.taskOf[req]
+	if ts == nil {
+		return nil
+	}
+	dst := c.pickFreeSlot(slot, e.id)
+	if dst == nil {
+		return nil
+	}
+	if err := dst.u.Run(cycle); err != nil {
+		return err
+	}
+	if !dst.slotFree(slot) {
+		return nil // filled while its clock advanced: the victim stays parked
+	}
+	tok, err := e.u.StealPreempted(slot)
+	if err != nil {
+		return nil
+	}
+	if err := dst.u.InjectPreempted(slot, tok); err != nil {
+		return err
+	}
+	c.moveTask(ts, e, dst, slot)
+	dst.bindPred(slot, ts.task)
+	ts.outcome.Migrations++
+	c.stats.Migrations++
+	e.stats.MigratedOut++
+	c.cfg.Tracer.Mark(trace.KindMigrate, e.id, cycle, uint64(dst.id), ts.task.Name)
+	return nil
 }
 
 // processFails handles watchdog kills recorded during engine Runs: engine
@@ -251,38 +253,10 @@ func (c *cluster) quarantine(e *engine, cycle uint64) {
 	// Evacuate parked work: preempted tasks stranded on a quarantined
 	// engine move to healthy engines with a free matching slot.
 	for slot := 0; slot < iau.NumSlots; slot++ {
-		req := e.u.PeekPreempted(slot)
-		if req == nil {
-			continue
-		}
-		ts := c.taskOf[req]
-		if ts == nil {
-			continue
-		}
-		target := c.pickFreeSlot(slot, e.id)
-		if target == nil {
-			continue
-		}
-		tok, err := e.u.StealPreempted(slot)
-		if err != nil {
-			continue
-		}
-		if err := target.u.Run(cycle); err != nil {
+		if err := c.migrateParked(e, slot, cycle); err != nil {
 			c.migErr = err
 			return
 		}
-		if err := target.u.InjectPreempted(slot, tok); err != nil {
-			if err2 := e.u.InjectPreempted(slot, tok); err2 != nil {
-				c.migErr = err2
-			}
-			continue
-		}
-		c.moveTask(ts, e, target, slot)
-		target.bindPred(slot, ts.task)
-		ts.outcome.Migrations++
-		c.stats.Migrations++
-		e.stats.MigratedOut++
-		c.cfg.Tracer.Mark(trace.KindMigrate, e.id, cycle, uint64(target.id), ts.task.Name)
 	}
 }
 
@@ -350,11 +324,17 @@ func (c *cluster) pickEngine(slot, avoid int) *engine {
 // InjectPreempted target), or nil.
 func (c *cluster) pickFreeSlot(slot, avoid int) *engine {
 	for _, e := range c.engines {
-		if e.id != avoid && e.health == Healthy && e.u.SlotFree(slot) && e.slotLoad[slot] == 0 {
+		if e.id != avoid && e.slotFree(slot) {
 			return e
 		}
 	}
 	return nil
+}
+
+// slotFree reports whether a healthy engine's slot holds nothing and has
+// nothing placed on it: an InjectPreempted target.
+func (e *engine) slotFree(slot int) bool {
+	return e.health == Healthy && e.u.SlotFree(slot) && e.slotLoad[slot] == 0
 }
 
 // placeable reports whether an engine can take one more task on a slot.

@@ -3,23 +3,13 @@ package compiler
 import (
 	"fmt"
 
+	"inca/internal/cost"
 	"inca/internal/isa"
 )
 
-// CostModel prices instructions in accelerator cycles. It is the subset of
-// the accelerator cycle model the placement optimizer needs; accel.Config
+// CostModel prices instructions in accelerator cycles; accel.Config
 // implements it (Options.Cost is populated by Config.CompilerOptions).
-type CostModel interface {
-	// XferCycles returns the cycle cost of moving n bytes to/from DDR.
-	XferCycles(n uint32) uint64
-	// InstrCycles returns the execution duration of one instruction; virtual
-	// instructions are priced as the transfers they perform when an interrupt
-	// materialises them.
-	InstrCycles(p *isa.Program, in isa.Instruction) uint64
-	// VirtualFetchCycles is the IAU overhead of skipping one virtual
-	// instruction on the uninterrupted path.
-	VirtualFetchCycles() uint64
-}
+type CostModel = cost.Model
 
 // VIPolicy selects how Compile makes a stream interruptible. The three
 // implementations are VIEvery (the paper's fixed rule — a site after every
@@ -70,96 +60,15 @@ func VIIf(on bool) VIPolicy {
 	return VINone{}
 }
 
-// viSite is one insertion site of the dense (VIEvery) stream: a maximal run
-// of virtual instructions. Sites are separated by at least one real
-// instruction, so group boundaries are unambiguous.
-type viSite struct {
-	start, end int // instruction index range [start,end) in the dense stream
-	// at is the number of real (non-virtual) instructions preceding the
-	// site — its position on the realCum axis.
-	at int
-	// backup is the modeled cost of parking here: the Vir_SAVE transfer for a
-	// backup site, 0 for a restore-only (post-SAVE) site.
-	backup uint64
-	// tail is the modeled worst-case cost of the group members after the
-	// leader — the replay a preemptor arriving just past the leader waits
-	// out before the next real instruction runs.
-	tail uint64
-}
-
-// viCosts decomposes a dense VI stream into its sites and the cumulative
-// cost prefix of its real instructions.
-//
-// Pricing is deliberately worst-case per position so the resulting bound is
-// conservative against every execution mode the IAU has:
-//
-//   - real instructions cost InstrCycles (engine prefetch overlap only ever
-//     reduces the charged cycles);
-//   - virtual instructions cost max(VirtualFetchCycles, InstrCycles) — the
-//     skip path charges the fetch, the resume replay charges the transfer;
-//   - a site's backup costs XferCycles(Vir_SAVE.Len) (save-skip rewrites
-//     only reduce it);
-//   - END costs nothing (completion releases the accelerator).
-func viCosts(p *isa.Program, instrs []isa.Instruction, cost CostModel) (sites []viSite, realCum []uint64) {
-	realCum = make([]uint64, 1, len(instrs)+1)
-	fetch := cost.VirtualFetchCycles()
-	for i := 0; i < len(instrs); i++ {
-		in := instrs[i]
-		if !in.Op.Virtual() {
-			c := uint64(0)
-			if in.Op != isa.OpEnd {
-				c = cost.InstrCycles(p, in)
-			}
-			realCum = append(realCum, realCum[len(realCum)-1]+c)
-			continue
-		}
-		s := viSite{start: i, at: len(realCum) - 1}
-		if in.Op == isa.OpVirSave {
-			s.backup = cost.XferCycles(in.Len)
-		} else {
-			s.tail += max(fetch, cost.InstrCycles(p, in))
-		}
-		j := i + 1
-		for j < len(instrs) && instrs[j].Op.Virtual() {
-			s.tail += max(fetch, cost.InstrCycles(p, instrs[j]))
-			j++
-		}
-		s.end = j
-		sites = append(sites, s)
-		i = j - 1
-	}
-	return sites, realCum
-}
-
-// responseBound returns the modeled worst-case preemption response of a VI
-// stream whose kept sites and real-cost prefix were computed by viCosts: the
-// maximum over all stream positions of (cycles to reach the next interrupt
-// point) + (its backup cost), with END acting as a free boundary. For a
-// stream with no sites it is the modeled completion time.
-func responseBound(sites []viSite, realCum []uint64) uint64 {
-	total := realCum[len(realCum)-1]
-	var bound uint64
-	// pending is the worst-case cost already owed at the current segment's
-	// start: 0 at program start, the previous site's member-replay tail
-	// otherwise (positions inside a kept group resume through its members).
-	pending, startAt := uint64(0), 0
-	for _, s := range sites {
-		w := pending + realCum[s.at] - realCum[startAt] + s.backup
-		bound = max(bound, w)
-		pending, startAt = s.tail, s.at
-	}
-	return max(bound, pending+total-realCum[startAt])
-}
-
 // placeVI selects the minimal subset of the dense stream's sites whose
 // response bound stays within budget, by dynamic programming over sites
 // (f(j) = fewest kept sites covering the prefix when j is the last kept
 // one). Greedy furthest-reachable is not sufficient here because a site's
 // member-replay tail (charged to the segment it opens) varies between sites.
 // Returns the kept site indices; ok=false when even keeping every site
-// (minimal achievable bound = responseBound of all sites) exceeds budget.
-func placeVI(sites []viSite, realCum []uint64, budget uint64) (keep []int, ok bool) {
-	total := realCum[len(realCum)-1]
+// (minimal achievable bound = dense.ResponseBound) exceeds budget.
+func placeVI(dense cost.Summary, budget uint64) (keep []int, ok bool) {
+	sites, total := dense.Sites, dense.Total
 	if total <= budget {
 		return nil, true // the whole stream fits: no interrupt points needed
 	}
@@ -172,7 +81,7 @@ func placeVI(sites []viSite, realCum []uint64, budget uint64) (keep []int, ok bo
 		count[j], parent[j] = inf, -1
 		sj := sites[j]
 		// Segment from program start.
-		if realCum[sj.at]+sj.backup <= budget {
+		if sj.Real+sj.Backup <= budget {
 			count[j] = 1
 		}
 		for i := 0; i < j; i++ {
@@ -180,12 +89,12 @@ func placeVI(sites []viSite, realCum []uint64, budget uint64) (keep []int, ok bo
 				continue
 			}
 			si := sites[i]
-			if si.tail+realCum[sj.at]-realCum[si.at]+sj.backup <= budget && count[i]+1 < count[j] {
+			if si.Tail+sj.Real-si.Real+sj.Backup <= budget && count[i]+1 < count[j] {
 				count[j], parent[j] = count[i]+1, i
 			}
 		}
 		// Can the stream finish within budget after site j?
-		if count[j] < bestCount && sj.tail+total-realCum[sj.at] <= budget {
+		if count[j] < bestCount && sj.Tail+total-sj.Real <= budget {
 			best, bestCount = j, count[j]
 		}
 	}
@@ -212,53 +121,43 @@ func applyVI(p *isa.Program, opt Options) error {
 	}
 	switch pol := pol.(type) {
 	case VINone:
-		if opt.Cost != nil {
-			_, realCum := viCosts(p, p.Instrs, opt.Cost)
-			p.ResponseBound = realCum[len(realCum)-1]
-		}
-		return nil
 	case VIEvery:
 		p.Instrs = insertVirtual(p)
-		if opt.Cost != nil {
-			sites, realCum := viCosts(p, p.Instrs, opt.Cost)
-			p.ResponseBound = responseBound(sites, realCum)
-		}
-		return nil
 	case VIBudget:
 		if opt.Cost == nil {
 			return fmt.Errorf("compiler: VIBudget requires Options.Cost (use accel.Config.CompilerOptions)")
 		}
-		dense := insertVirtual(p)
-		sites, realCum := viCosts(p, dense, opt.Cost)
-		keep, ok := placeVI(sites, realCum, pol.MaxResponseCycles)
+		p.Instrs = insertVirtual(p)
+		dense := cost.Summarize(p, opt.Cost)
+		keep, ok := placeVI(dense, pol.MaxResponseCycles)
 		if !ok {
 			return fmt.Errorf("compiler: program %q cannot meet response budget %d cycles; minimal achievable bound (VIEvery) is %d cycles",
-				p.Name, pol.MaxResponseCycles, responseBound(sites, realCum))
+				p.Name, pol.MaxResponseCycles, dense.ResponseBound())
 		}
-		keepSet := make(map[int]bool, len(keep))
-		for _, j := range keep {
-			keepSet[j] = true
-		}
-		kept := make([]viSite, 0, len(keep))
-		out := make([]isa.Instruction, 0, len(dense))
+		kept := make([]cost.Site, 0, len(keep))
+		out := make([]isa.Instruction, 0, len(p.Instrs))
 		last := 0
-		for j, s := range sites {
-			out = append(out, dense[last:s.start]...)
-			if keepSet[j] {
-				out = append(out, dense[s.start:s.end]...)
+		for j, s := range dense.Sites {
+			out = append(out, p.Instrs[last:s.Leader]...)
+			if len(kept) < len(keep) && keep[len(kept)] == j {
+				out = append(out, p.Instrs[s.Leader:s.End]...)
 				kept = append(kept, s)
 			}
-			last = s.end
+			last = s.End
 		}
-		out = append(out, dense[last:]...)
+		out = append(out, p.Instrs[last:]...)
 		// Dropped sites' instructions vanish from the stream, so pruning
-		// never raises a kept segment's cost: the recomputed bound of the
-		// assembled stream satisfies the same per-segment constraints the
-		// selection enforced.
+		// never raises a kept segment's cost: the bound of the kept sites is
+		// the bound of the assembled stream and satisfies the same
+		// per-segment constraints the selection enforced.
 		p.Instrs = out
-		p.ResponseBound = responseBound(kept, realCum)
+		p.ResponseBound = cost.ResponseBound(kept, dense.Total)
 		return nil
 	default:
 		return fmt.Errorf("compiler: unknown VIPolicy %T", pol)
 	}
+	if opt.Cost != nil {
+		p.ResponseBound = cost.Summarize(p, opt.Cost).ResponseBound()
+	}
+	return nil
 }

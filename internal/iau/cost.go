@@ -1,160 +1,103 @@
 package iau
 
-import "inca/internal/isa"
+import (
+	"inca/internal/accel"
+	"inca/internal/cost"
+	"inca/internal/isa"
+)
 
 // MethodCost is the IAU's modeled cost of preempting a slot with a given
 // interrupt method, measured from the slot's current stream position. All
-// figures come from the deterministic cycle model (the same one
-// WatchdogBound uses), so the query is pure: calling it never advances
-// time, draws faults, or touches engine state. It is an *estimate* — the
-// victim may hit a rewritten-SAVE skip or an injected stall the model does
-// not see — which is exactly why schedulers built on it can only change
-// timing, never results.
+// figures are read from the program's cost table (internal/cost — the same
+// cycle model WatchdogBound and the compiler's ResponseBound use), so the
+// query is pure: calling it never advances time, draws faults, or touches
+// engine state. It is an *estimate* — the victim may hit a rewritten-SAVE
+// skip or an injected stall the model does not see — which is exactly why
+// schedulers built on it can only change timing, never results.
 type MethodCost struct {
 	Method Policy
-	// WaitCycles models the time until the victim's next boundary legal
-	// under Method (t1 of the paper's latency decomposition).
-	WaitCycles uint64
-	// BackupCycles models the state-save transfer at that boundary (t2).
-	BackupCycles uint64
-	// RestoreCycles models the replay cost when the victim later resumes
-	// (t4).
-	RestoreCycles uint64
-	// BackupBytes is the modeled backup traffic.
-	BackupBytes uint64
-	// Feasible is false when no legal boundary exists before the program
-	// ends — preempting with this method is impossible from here.
-	Feasible bool
+	cost.Preempt
 }
 
-// Response returns the modeled preemptor-visible latency: wait + backup.
-func (m MethodCost) Response() uint64 { return m.WaitCycles + m.BackupCycles }
-
-// Total returns the modeled extra cycles the switch charges overall:
-// backup + restore (the wait is work the victim performs anyway).
-func (m MethodCost) Total() uint64 { return m.BackupCycles + m.RestoreCycles }
-
-// modelInstrCycles is the per-instruction cycle model shared with
-// WatchdogBound: transfers cost their modeled DDR time, virtual
-// instructions their fetch-and-discard time, everything else the
-// accelerator's instruction model.
-func (u *IAU) modelInstrCycles(p *isa.Program, in isa.Instruction) uint64 {
-	switch in.Op {
-	case isa.OpLoadW, isa.OpLoadD, isa.OpSave:
-		return u.Cfg.XferCycles(in.Len)
-	case isa.OpVirSave, isa.OpVirLoadD:
-		return uint64(u.Cfg.FetchCycles)
-	case isa.OpEnd:
-		return 0
-	default:
-		return u.Cfg.InstrCycles(p, in)
-	}
-}
-
-// boundaryLegal mirrors canSwitch for an arbitrary stream position.
-func boundaryLegal(ins []isa.Instruction, pc int, m Policy) bool {
-	switch m {
-	case PolicyCPULike:
-		return true
-	case PolicyVI:
-		if ins[pc].Op == isa.OpVirSave {
-			return true
+// CostTable returns the cost table of p under this IAU's accelerator
+// configuration, building it on the first query for the program. Plain
+// execution never asks, so a run without cost queries builds none.
+func (u *IAU) CostTable(p *isa.Program) *cost.Table {
+	t := u.tables[p]
+	if t == nil {
+		if u.tables == nil {
+			u.tables = make(map[*isa.Program]*cost.Table)
 		}
-		if ins[pc].Op == isa.OpVirLoadD {
-			return pc == 0 || (ins[pc-1].Op != isa.OpVirSave && ins[pc-1].Op != isa.OpVirLoadD)
-		}
-		return false
-	case PolicyLayerByLayer:
-		return pc != 0 && ins[pc].Op != isa.OpEnd && ins[pc].Layer != ins[pc-1].Layer
-	default:
-		return false
+		t = cost.NewTable(p, u.Cfg)
+		u.tables[p] = t
 	}
+	return t
 }
 
-// PreemptCostEstimate models what preempting the given slot with the given
-// method would cost from its current stream position. For a slot with no
-// in-flight request every cost is zero and Feasible is false.
-func (u *IAU) PreemptCostEstimate(slot int, m Policy) MethodCost {
+// PreemptCostAt prices parking a task that stands at stream position pc of
+// the table's program with method m. It is the table's answer alone — no
+// live register state — which is what a scheduler's decision table wants.
+func PreemptCostAt(cfg accel.Config, t *cost.Table, pc int, m Policy) MethodCost {
 	mc := MethodCost{Method: m}
-	if slot < 0 || slot >= NumSlots {
-		return mc
-	}
-	t := u.slots[slot]
-	if t.cur == nil || t.cur.Prog == nil {
-		return mc
-	}
-	p := t.cur.Prog
-	ins := p.Instrs
-
-	if m == PolicyCPULike {
-		buf := uint64(u.Cfg.TotalBufferBytes())
-		mc.WaitCycles = 0
-		mc.BackupCycles = u.Cfg.XferCycles(uint32(buf))
+	switch m {
+	case PolicyVI:
+		mc.Preempt = t.PreemptVI(pc)
+	case PolicyLayerByLayer:
+		mc.Preempt = t.PreemptLayer(pc)
+	case PolicyCPULike:
+		// Switch anywhere before completion, spilling and refilling every
+		// on-chip cache.
+		buf := uint64(cfg.TotalBufferBytes())
+		mc.BackupCycles = cfg.XferCycles(uint32(buf))
 		mc.RestoreCycles = mc.BackupCycles
 		mc.BackupBytes = buf
-		mc.Feasible = ins[t.pc].Op != isa.OpEnd
-		return mc
-	}
-
-	// Walk forward to the next legal boundary, accumulating the modeled
-	// cost of every instruction the victim must still execute first.
-	pc := t.pc
-	for ; pc < len(ins); pc++ {
-		if ins[pc].Op == isa.OpEnd {
-			return mc // finishes before any boundary: not preemptible
-		}
-		if boundaryLegal(ins, pc, m) {
-			break
-		}
-		mc.WaitCycles += u.modelInstrCycles(p, ins[pc])
-	}
-	if pc >= len(ins) {
-		return mc
-	}
-	mc.Feasible = true
-	if m == PolicyLayerByLayer {
-		return mc // next layer reloads through its own LOADs: free switch
-	}
-
-	// VI: the boundary is either a Vir_SAVE (materialise it, then resume
-	// replays the following Vir_LOAD_D group) or a lone Vir_LOAD_D leader
-	// (nothing to save; resume replays the group from here).
-	if ins[pc].Op == isa.OpVirSave {
-		save := ins[pc]
-		skip := uint32(0)
-		if pc == t.pc && t.saveValid && t.saveID == save.SaveID {
-			skip = t.saveBytes
-			if skip > save.Len {
-				skip = save.Len
-			}
-		}
-		mc.BackupCycles = u.Cfg.XferCycles(save.Len - skip)
-		mc.BackupBytes = uint64(save.Len - skip)
-		pc++
-	}
-	for ; pc < len(ins) && ins[pc].Op == isa.OpVirLoadD; pc++ {
-		mc.RestoreCycles += u.Cfg.XferCycles(ins[pc].Len)
+		mc.Feasible = t.Prog.Instrs[pc].Op != isa.OpEnd
+	default:
+		mc.WaitCycles = t.Remaining(pc)
 	}
 	return mc
 }
 
-// RemainingModelCycles walks the slot's remaining instruction stream
-// through the cycle model and returns the modeled cycles to completion;
-// the second return is false when the slot has no in-flight request. This
-// is the IAU-side "ground truth" estimator a scheduler can compare its
-// learned estimates against.
-func (u *IAU) RemainingModelCycles(slot int) (uint64, bool) {
+// inFlight returns the slot's task when it has a request in flight.
+func (u *IAU) inFlight(slot int) *task {
 	if slot < 0 || slot >= NumSlots {
+		return nil
+	}
+	if t := u.slots[slot]; t.cur != nil && t.cur.Prog != nil {
+		return t
+	}
+	return nil
+}
+
+// PreemptCostEstimate models what preempting the given slot with the given
+// method would cost from its current stream position: the cost table's
+// answer, refined by the one piece of live state the table cannot know — a
+// Vir_SAVE the slot stands on whose bytes an earlier backup already stored
+// transfers only the remainder. For a slot with no in-flight request every
+// cost is zero and Feasible is false.
+func (u *IAU) PreemptCostEstimate(slot int, m Policy) MethodCost {
+	t := u.inFlight(slot)
+	if t == nil {
+		return MethodCost{Method: m}
+	}
+	mc := PreemptCostAt(u.Cfg, u.CostTable(t.cur.Prog), t.pc, m)
+	if in := t.cur.Prog.Instrs[t.pc]; m == PolicyVI && in.Op == isa.OpVirSave && t.saveValid && t.saveID == in.SaveID {
+		skip := min(t.saveBytes, in.Len)
+		mc.BackupCycles = u.Cfg.XferCycles(in.Len - skip)
+		mc.BackupBytes = uint64(in.Len - skip)
+	}
+	return mc
+}
+
+// RemainingModelCycles returns the modeled cycles the slot's in-flight
+// request still needs to complete (a cost-table read); the second return is
+// false when the slot has no in-flight request. This is the IAU-side
+// "ground truth" estimator a scheduler can compare its learned estimates
+// against.
+func (u *IAU) RemainingModelCycles(slot int) (uint64, bool) {
+	t := u.inFlight(slot)
+	if t == nil {
 		return 0, false
 	}
-	t := u.slots[slot]
-	if t.cur == nil || t.cur.Prog == nil {
-		return 0, false
-	}
-	p := t.cur.Prog
-	var total uint64
-	for pc := t.pc; pc < len(p.Instrs); pc++ {
-		total += u.modelInstrCycles(p, p.Instrs[pc])
-	}
-	return total, true
+	return u.CostTable(t.cur.Prog).Remaining(t.pc), true
 }

@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 
 	"inca/internal/accel"
+	"inca/internal/cost"
 	"inca/internal/fault"
 	"inca/internal/isa"
 	"inca/internal/trace"
@@ -386,6 +387,9 @@ type IAU struct {
 	BusyCycles uint64 // cycles the accelerator executed instructions
 	IdleCycles uint64
 
+	// tables caches one cost table per program queried (see CostTable).
+	tables map[*isa.Program]*cost.Table
+
 	slots    [NumSlots]*task
 	arrivals arrivalHeap
 	seq      int
@@ -626,27 +630,9 @@ func (u *IAU) canSwitch(t *task, m Policy) bool {
 	case PolicyCPULike:
 		return true
 	case PolicyVI:
-		ins := t.cur.Prog.Instrs
-		in := ins[t.pc]
-		if in.Op == isa.OpVirSave {
-			return true
-		}
-		if in.Op == isa.OpVirLoadD {
-			// A lone Vir_LOAD_D (post-SAVE point) — but only the group
-			// leader. One right after a Vir_SAVE is mid-group (switching
-			// there would lose the unsaved results whose backup was already
-			// skipped), and one right after another Vir_LOAD_D (Add layers
-			// restore two inputs) is mid-group too: resuming from it would
-			// skip the first input's restore.
-			return t.pc == 0 || (ins[t.pc-1].Op != isa.OpVirSave && ins[t.pc-1].Op != isa.OpVirLoadD)
-		}
-		return false
+		return t.cur.Prog.IsInterruptPoint(t.pc)
 	case PolicyLayerByLayer:
-		ins := t.cur.Prog.Instrs
-		if t.pc == 0 || ins[t.pc].Op == isa.OpEnd {
-			return false // about to finish anyway
-		}
-		return ins[t.pc].Layer != ins[t.pc-1].Layer
+		return t.cur.Prog.IsLayerBoundary(t.pc)
 	default:
 		return false
 	}
@@ -1340,24 +1326,15 @@ func (u *IAU) Resubmit(slot int, req *Request, cycle uint64) error {
 // resets without ever killing healthy work.
 func WatchdogBound(cfg accel.Config, progs ...*isa.Program) uint64 {
 	var worst uint64
+	// Serving callers pass one entry per task, most of them the same few
+	// programs: price each stream once.
+	seen := make(map[*isa.Program]bool)
 	for _, p := range progs {
-		if p == nil {
+		if p == nil || seen[p] {
 			continue
 		}
-		for _, in := range p.Instrs {
-			var c uint64
-			switch in.Op {
-			case isa.OpLoadW, isa.OpLoadD, isa.OpSave, isa.OpVirSave, isa.OpVirLoadD:
-				c = cfg.XferCycles(in.Len)
-			case isa.OpEnd:
-				continue
-			default:
-				c = cfg.InstrCycles(p, in)
-			}
-			if c > worst {
-				worst = c
-			}
-		}
+		seen[p] = true
+		worst = max(worst, cost.Summarize(p, cfg).MaxInstr)
 	}
 	if worst == 0 {
 		worst = 1

@@ -9,6 +9,7 @@ import (
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
+	"inca/internal/cost"
 	"inca/internal/iau"
 	"inca/internal/isa"
 	"inca/internal/model"
@@ -101,53 +102,21 @@ func Policies() []iau.Policy {
 	return []iau.Policy{iau.PolicyCPULike, iau.PolicyLayerByLayer, iau.PolicyVI}
 }
 
-// WorstUninterruptibleGap scans a compiled VI stream and returns the longest
-// stretch of cycles between consecutive interrupt points (including the
-// backup at the closing point) — the stream-level blocking bound. Unlike the
+// WorstUninterruptibleGap returns the longest stretch of cycles between
+// consecutive interrupt points of a compiled VI stream (including the backup
+// at the closing point) — the stream-level blocking bound. Unlike the
 // per-layer analytical model it accounts for the exact schedule the compiler
 // emitted: LOAD/SAVE placement, save windows, layer boundaries. Transfer
 // overlap is ignored, making it a safe upper bound.
 func WorstUninterruptibleGap(cfg accel.Config, p *isa.Program) uint64 {
-	return worstGapAt(cfg, p, p.InterruptPoints(), true)
+	return cost.Summarize(p, cfg).WorstPointGap()
 }
 
 // WorstLayerGap is the layer-by-layer equivalent: the longest stretch
 // between consecutive layer boundaries in the compiled stream (switching is
 // free there, so no backup term).
 func WorstLayerGap(cfg accel.Config, p *isa.Program) uint64 {
-	return worstGapAt(cfg, p, p.LayerBoundaries(), false)
-}
-
-func worstGapAt(cfg accel.Config, p *isa.Program, pointList []int, chargeBackup bool) uint64 {
-	points := make(map[int]bool, len(pointList))
-	for _, i := range pointList {
-		points[i] = true
-	}
-	var worst, run uint64
-	for i, in := range p.Instrs {
-		if in.Op == isa.OpEnd {
-			break
-		}
-		if points[i] {
-			// The backup a preemption taken here would perform closes the
-			// stretch.
-			if chargeBackup && in.Op == isa.OpVirSave {
-				run += cfg.XferCycles(in.Len)
-			}
-			if run > worst {
-				worst = run
-			}
-			run = 0
-		}
-		if in.Op.Virtual() {
-			continue // skipped in normal flow
-		}
-		run += cfg.InstrCycles(p, in)
-	}
-	if run > worst {
-		worst = run
-	}
-	return worst
+	return cost.NewTable(p, cfg).WorstLayerGap()
 }
 
 // --- Analytical model (§4.3) ---------------------------------------------

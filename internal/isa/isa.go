@@ -318,40 +318,58 @@ func (p *Program) CountOps() map[Op]int {
 	return m
 }
 
+// IsInterruptPoint reports whether instruction i is a position at which the
+// VI method may take an interrupt: a virtual instruction that begins a
+// backup/restore group — a Vir_SAVE, or a Vir_LOAD_D that leads its group.
+// This is the one statement of the rule; the IAU's switch test, the cost
+// table and InterruptPoints all read it (internal/progcheck keeps its own
+// copy on purpose, as the reference it is checked against).
+func (p *Program) IsInterruptPoint(i int) bool {
+	switch p.Instrs[i].Op {
+	case OpVirSave:
+		return true
+	case OpVirLoadD:
+		// Only the leader of a restore group is a take-point: a Vir_LOAD_D
+		// after a Vir_SAVE belongs to that backup's group (switching there
+		// would lose the unsaved results whose backup was already skipped),
+		// and one after another Vir_LOAD_D (Add layers restore two inputs) is
+		// mid-group — resuming from it would skip the earlier restores.
+		return i == 0 || (p.Instrs[i-1].Op != OpVirSave && p.Instrs[i-1].Op != OpVirLoadD)
+	}
+	return false
+}
+
+// IsLayerBoundary reports whether the layer-by-layer method may switch
+// before instruction i: it is the first instruction of a layer other than
+// the stream's first (at i == 0 nothing has run, at END the task is about
+// to finish anyway).
+func (p *Program) IsLayerBoundary(i int) bool {
+	return i > 0 && p.Instrs[i].Op != OpEnd && p.Instrs[i].Layer != p.Instrs[i-1].Layer
+}
+
 // InterruptPoints returns the indices of instructions at which the VI method
-// may take an interrupt: every virtual instruction that begins a
-// backup/restore group (a Vir_SAVE, or a lone Vir_LOAD_D following a SAVE).
+// may take an interrupt (see IsInterruptPoint).
 func (p *Program) InterruptPoints() []int {
 	var pts []int
-	for i, in := range p.Instrs {
-		switch in.Op {
-		case OpVirSave:
+	for i := range p.Instrs {
+		if p.IsInterruptPoint(i) {
 			pts = append(pts, i)
-		case OpVirLoadD:
-			// Only the leader of a restore group is a take-point: a
-			// Vir_LOAD_D after a Vir_SAVE belongs to that backup's group, and
-			// one after another Vir_LOAD_D (Add layers restore two inputs) is
-			// mid-group — parking there would skip the earlier restores.
-			if i == 0 || (p.Instrs[i-1].Op != OpVirSave && p.Instrs[i-1].Op != OpVirLoadD) {
-				pts = append(pts, i)
-			}
 		}
 	}
 	return pts
 }
 
-// LayerBoundaries returns the indices of the first instruction of each layer
-// (the positions at which the layer-by-layer method may switch).
+// LayerBoundaries returns the indices of the first instruction of each layer:
+// the stream start plus every position at which the layer-by-layer method
+// may switch (see IsLayerBoundary).
 func (p *Program) LayerBoundaries() []int {
 	var pts []int
-	last := -1
 	for i, in := range p.Instrs {
 		if in.Op == OpEnd {
 			break
 		}
-		if int(in.Layer) != last {
+		if i == 0 || p.IsLayerBoundary(i) {
 			pts = append(pts, i)
-			last = int(in.Layer)
 		}
 	}
 	return pts

@@ -34,6 +34,9 @@ var Suite = []ScopedAnalyzer{
 		// bit-exactly, so they patrol with the sim core.
 		"inca/internal/compiler",
 		"inca/internal/core",
+		// The cost table prices every stream for the compiler's placement,
+		// the stamped bound and each scheduling decision.
+		"inca/internal/cost",
 		// The EngineCluster dispatcher places, migrates, and sheds tasks;
 		// its same-seed reports must be byte-identical, so it patrols too.
 		"inca/internal/cluster",
@@ -59,6 +62,7 @@ var Suite = []ScopedAnalyzer{
 		"inca/internal/sched",
 		"inca/internal/compiler",
 		"inca/internal/core",
+		"inca/internal/cost",
 		"inca/internal/cluster",
 		"inca/internal/progcheck",
 	}},

@@ -52,160 +52,34 @@ type PolicyPredictive struct {
 type predSlot struct {
 	bound    bool
 	prog     *isa.Program
-	costs    *progCost
 	deadline uint64 // relative deadline, cycles; 0 = best-effort
 	est      uint64 // estimated intrinsic cycles per request
 	estValid bool   // false while cold (static fallback)
 	samples  uint64
 }
 
-// progCost is a per-program table that answers "what does preempting at
-// stream position pc cost under method m" in O(1). Contend runs at every
-// instruction boundary, so walking the stream there (as the IAU's precise
-// PreemptCostEstimate does) would make scheduling quadratic in program
-// length; these tables are the same cycle model, precomputed once at Bind.
-type progCost struct {
-	prog *isa.Program
-	cum  []uint64 // cum[i] = modeled cycles of instructions [0, i)
-	viB  []int32  // index of the next VI-legal boundary at/after pc, -1 none
-	lblB []int32  // same for layer boundaries
-	// At VI boundary b: the modeled backup transfer (0 for a lone
-	// Vir_LOAD_D leader) and the Vir_LOAD_D replay cost on resume.
-	viBackup  []uint64
-	viRestore []uint64
-	viBytes   []uint64
-	// respBound is the program's compiler-proven worst-case preemption
-	// response (Program.ResponseBound, 0 = unmodeled): an O(1) cap on any
-	// VI wait+backup the tables would otherwise derive per position.
-	respBound uint64
-}
-
-func buildProgCost(cfg accel.Config, p *isa.Program) *progCost {
-	n := len(p.Instrs)
-	t := &progCost{
-		prog:      p,
-		cum:       make([]uint64, n+1),
-		viB:       make([]int32, n+1),
-		lblB:      make([]int32, n+1),
-		respBound: p.ResponseBound,
-	}
-	for i, in := range p.Instrs {
-		t.cum[i+1] = t.cum[i] + modelInstr(cfg, p, in)
-	}
-	t.viB[n], t.lblB[n] = -1, -1
-	for i := n - 1; i >= 0; i-- {
-		t.viB[i], t.lblB[i] = t.viB[i+1], t.lblB[i+1]
-		if p.Instrs[i].Op == isa.OpEnd {
-			// Nothing past completion is a boundary.
-			t.viB[i], t.lblB[i] = -1, -1
-			continue
-		}
-		if boundaryLegalAt(p.Instrs, i, iau.PolicyVI) {
-			t.viB[i] = int32(i)
-		}
-		if boundaryLegalAt(p.Instrs, i, iau.PolicyLayerByLayer) {
-			t.lblB[i] = int32(i)
-		}
-	}
-	t.viBackup = make([]uint64, n)
-	t.viRestore = make([]uint64, n)
-	t.viBytes = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		if t.viB[i] != int32(i) {
-			continue
-		}
-		pc := i
-		if p.Instrs[pc].Op == isa.OpVirSave {
-			t.viBackup[i] = cfg.XferCycles(p.Instrs[pc].Len)
-			t.viBytes[i] = uint64(p.Instrs[pc].Len)
-			pc++
-		}
-		for ; pc < n && p.Instrs[pc].Op == isa.OpVirLoadD; pc++ {
-			t.viRestore[i] += cfg.XferCycles(p.Instrs[pc].Len)
-		}
-	}
-	return t
-}
-
-// modelInstr mirrors the IAU's per-instruction cycle model (cost.go).
-func modelInstr(cfg accel.Config, p *isa.Program, in isa.Instruction) uint64 {
-	switch in.Op {
-	case isa.OpLoadW, isa.OpLoadD, isa.OpSave:
-		return cfg.XferCycles(in.Len)
-	case isa.OpVirSave, isa.OpVirLoadD:
-		return uint64(cfg.FetchCycles)
-	case isa.OpEnd:
-		return 0
-	default:
-		return cfg.InstrCycles(p, in)
-	}
-}
-
-// boundaryLegalAt mirrors the IAU's canSwitch rule for a stream position.
-func boundaryLegalAt(ins []isa.Instruction, pc int, m iau.Policy) bool {
-	switch m {
-	case iau.PolicyCPULike:
-		return true
-	case iau.PolicyVI:
-		if ins[pc].Op == isa.OpVirSave {
-			return true
-		}
-		if ins[pc].Op == isa.OpVirLoadD {
-			return pc == 0 || (ins[pc-1].Op != isa.OpVirSave && ins[pc-1].Op != isa.OpVirLoadD)
-		}
-		return false
-	case iau.PolicyLayerByLayer:
-		return pc != 0 && ins[pc].Op != isa.OpEnd && ins[pc].Layer != ins[pc-1].Layer
-	default:
-		return false
-	}
-}
-
-// methodCost prices preempting victim with method m: the precomputed table
-// when the slot runs its bound program, the IAU's walking query otherwise.
+// methodCost prices preempting victim with method m. Contend runs at every
+// instruction boundary, so every answer is an O(1) read of the IAU's cost
+// table for the victim's program (built once, on the first query). A slot
+// running its bound program gets the table's pure answer; a foreign program
+// (e.g. a migrated-in request) is capped by its compiler-proven bound under
+// VI, and otherwise gets the IAU's live-refined estimate.
 func (p *PolicyPredictive) methodCost(u *iau.IAU, victim int, m iau.Policy) iau.MethodCost {
 	s := &p.slots[victim]
 	req := u.SlotRequest(victim)
 	pc := u.SlotPC(victim)
-	if s.costs == nil || req == nil || req.Prog != s.costs.prog || pc < 0 {
+	if s.prog == nil || req == nil || req.Prog != s.prog || pc < 0 {
 		if m == iau.PolicyVI && req != nil && pc >= 0 && pc < len(req.Prog.Instrs) &&
 			req.Prog.Instrs[pc].Op != isa.OpEnd && req.Prog.ResponseBound > 0 {
-			// Foreign program (e.g. a migrated-in request): its
-			// compiler-proven bound caps wait+backup from any position, so an
-			// O(1) conservative answer replaces the O(n) stream walk.
-			return iau.MethodCost{Method: m, WaitCycles: req.Prog.ResponseBound, Feasible: true}
+			// The bound caps wait+backup from any position: a conservative
+			// answer that needs no table.
+			mc := iau.MethodCost{Method: m}
+			mc.WaitCycles, mc.Feasible = req.Prog.ResponseBound, true
+			return mc
 		}
 		return u.PreemptCostEstimate(victim, m)
 	}
-	t := s.costs
-	mc := iau.MethodCost{Method: m}
-	ins := t.prog.Instrs
-	switch m {
-	case iau.PolicyCPULike:
-		buf := uint64(p.cfg.TotalBufferBytes())
-		mc.BackupCycles = xferCycles64(p.cfg, buf)
-		mc.RestoreCycles = mc.BackupCycles
-		mc.BackupBytes = buf
-		mc.Feasible = ins[pc].Op != isa.OpEnd
-	case iau.PolicyVI:
-		b := t.viB[pc]
-		if b < 0 {
-			return mc
-		}
-		mc.WaitCycles = t.cum[b] - t.cum[pc]
-		mc.BackupCycles = t.viBackup[b]
-		mc.RestoreCycles = t.viRestore[b]
-		mc.BackupBytes = t.viBytes[b]
-		mc.Feasible = true
-	case iau.PolicyLayerByLayer:
-		b := t.lblB[pc]
-		if b < 0 {
-			return mc
-		}
-		mc.WaitCycles = t.cum[b] - t.cum[pc]
-		mc.Feasible = true
-	}
-	return mc
+	return iau.PreemptCostAt(u.Cfg, u.CostTable(s.prog), pc, m)
 }
 
 // PredictOption configures a PolicyPredictive.
@@ -296,10 +170,6 @@ func (p *PolicyPredictive) Bind(slot int, prog *isa.Program, deadline uint64, co
 	s.prog = prog
 	s.deadline = deadline
 	s.samples = 0
-	s.costs = nil
-	if prog != nil {
-		s.costs = buildProgCost(p.cfg, prog)
-	}
 	if cold || prog == nil {
 		s.est = 0
 		s.estValid = false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"inca/internal/accel"
+	"inca/internal/cost"
 	"inca/internal/iau"
 	"inca/internal/interrupt"
 	"inca/internal/isa"
@@ -59,13 +60,7 @@ func BlockingBound(cfg accel.Config, p *isa.Program, policy iau.Policy) (uint64,
 		return interrupt.SoloCycles(cfg, p)
 	case iau.PolicyCPULike:
 		// One instruction plus the full cache spill.
-		var worst uint64
-		for _, in := range p.Instrs {
-			if c := cfg.InstrCycles(p, in); c > worst {
-				worst = c
-			}
-		}
-		return worst + cfg.XferCycles(uint32(cfg.TotalBufferBytes())), nil
+		return cost.Summarize(p, cfg).MaxInstr + cfg.XferCycles(uint32(cfg.TotalBufferBytes())), nil
 	case iau.PolicyLayerByLayer:
 		// Stream-exact: the longest inter-layer stretch of the compiled
 		// program (transfer overlap ignored — a safe upper bound).
