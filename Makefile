@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test bench bench-gate bench-baseline sched-gate vi-gate race refconv vet lint lint-report chaos chaos-cluster fuzz-smoke cover trace progcheck benchmark-smoke loc
+.PHONY: tier1 build test bench bench-deploy bench-gate bench-baseline sched-gate vi-gate race refconv vet lint lint-report chaos chaos-cluster fuzz-smoke cover trace progcheck benchmark-smoke loc
 
 # tier1 is the gate every change must keep green.
 tier1: build vet lint test benchmark-smoke race fuzz-smoke cover trace progcheck bench-gate chaos-cluster
@@ -27,6 +27,13 @@ loc:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/accel
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalInference' .
+
+# Per-phase cost of one cold deploy (synthesize, compile, verify, encode,
+# decode, arena) of ResNet-18 60x80: ns, MB and allocations per phase, the
+# in-module view of what the benchmark's deploy_cold workload times. Not
+# part of tier1.
+bench-deploy:
+	$(GO) test -run '^$$' -bench 'BenchmarkDeployPhases' -benchmem .
 
 # Regression gate over the batched serving datapath: re-measure and compare
 # *modeled* MACs/s (deterministic cycle model) against the checked-in

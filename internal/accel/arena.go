@@ -12,20 +12,7 @@ import (
 // weight base. Programs compiled without EmitWeights cannot run
 // functionally.
 func NewArena(p *isa.Program) ([]byte, error) {
-	if len(p.Weights) == 0 {
-		return nil, fmt.Errorf("accel: program %q carries no weight image (compile with EmitWeights)", p.Name)
-	}
-	if p.DDRBytes == 0 {
-		return nil, fmt.Errorf("accel: program %q has an empty DDR arena", p.Name)
-	}
-	arena := make([]byte, p.DDRBytes)
-	if int(p.WeightsAddr)+len(p.Weights) > len(arena) {
-		return nil, fmt.Errorf("accel: weight image [%d,%d) exceeds arena %d", p.WeightsAddr, int(p.WeightsAddr)+len(p.Weights), len(arena))
-	}
-	for i, v := range p.Weights {
-		arena[int(p.WeightsAddr)+i] = byte(v)
-	}
-	return arena, nil
+	return isa.BuildLinkedArena([]*isa.Program{p})
 }
 
 // WriteInput copies an input activation (CHW int8) into the arena's input

@@ -121,6 +121,7 @@ func Compile(q *quant.Network, opt Options) (*isa.Program, error) {
 		return nil, err
 	}
 	em := &emitter{prog: prog, opt: opt}
+	em.reserve()
 	for li := range prog.Layers {
 		em.emitLayer(li)
 	}

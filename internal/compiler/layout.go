@@ -11,7 +11,7 @@ import (
 // layout assigns DDR regions for the network input, every lowered layer's
 // output featuremap, and the weight image; it finalizes prog.Layers and,
 // when opt.EmitWeights is set, builds the weight image the functional engine
-// loads into the arena.
+// loads into the arena. Parameters are validated either way.
 func layout(prog *isa.Program, lowered []loweredLayer, q *quant.Network, opt Options) error {
 	g := q.Graph
 	// Every featuremap region holds BatchN consecutive planes; InputBytes /
@@ -32,27 +32,31 @@ func layout(prog *isa.Program, lowered []loweredLayer, q *quant.Network, opt Opt
 	}
 
 	// Weight image: per conv layer, per out-channel group, a blob of
-	// [int32 bias × oCnt][int8 weights, oc-major].
+	// [int32 bias × oCnt][int8 weights, oc-major]. Its length is a closed
+	// form of the layer shapes, so addresses are assigned first and the
+	// image, when asked for, is made once and filled in place.
 	prog.WeightsAddr = cursor
-	var wimg []byte
+	var wlen uint32
 	for i := range lowered {
 		ll := &lowered[i]
 		if ll.info.Op != isa.LayerConv {
 			continue
 		}
-		ll.info.WAddr = prog.WeightsAddr + uint32(len(wimg))
-		blob, err := buildWeightBlobs(ll, prog.ParaOut)
-		if err != nil {
+		if err := checkWeights(ll); err != nil {
 			return err
 		}
-		wimg = append(wimg, blob...)
+		ll.info.WAddr = prog.WeightsAddr + wlen
+		wlen += blobBytes(&ll.info, ll.info.OutC)
 	}
-	cursor = alignUp(cursor + uint32(len(wimg)))
+	cursor = alignUp(cursor + wlen)
 	prog.DDRBytes = cursor
 	if opt.EmitWeights {
-		prog.Weights = make([]int8, len(wimg))
-		for i, b := range wimg {
-			prog.Weights[i] = int8(b)
+		prog.Weights = make([]byte, wlen)
+		for i := range lowered {
+			ll := &lowered[i]
+			if ll.info.Op == isa.LayerConv {
+				fillWeightBlobs(prog.Weights[ll.info.WAddr-prog.WeightsAddr:], ll, prog.ParaOut)
+			}
 		}
 	}
 
@@ -72,15 +76,9 @@ func layout(prog *isa.Program, lowered []loweredLayer, q *quant.Network, opt Opt
 		info.OutAddr = outAddr[i]
 		info.NOut = ceilDiv(info.OutC, prog.ParaOut)
 		info.NTiles = ceilDiv(info.OutH, prog.ParaHeight)
-		switch info.Op {
-		case isa.LayerConv:
-			if info.Groups == info.InC && info.Groups > 1 {
-				info.NIn = 1 // depthwise: each output channel reads one input channel
-			} else {
-				info.NIn = ceilDiv(info.InC, prog.ParaIn)
-			}
-		default:
-			info.NIn = 1
+		info.NIn = 1
+		if info.Op == isa.LayerConv {
+			info.NIn = ceilDiv(inPerOut(&info), prog.ParaIn)
 		}
 		prog.Layers[i] = info
 	}
@@ -91,70 +89,68 @@ func layout(prog *isa.Program, lowered []loweredLayer, q *quant.Network, opt Opt
 	return nil
 }
 
-// buildWeightBlobs serializes a conv layer's parameters in LOAD_W order.
-func buildWeightBlobs(ll *loweredLayer, paraOut int) ([]byte, error) {
+// inPerOut is the number of input channels one output channel convolves.
+func inPerOut(info *isa.LayerInfo) int {
+	if info.Groups == info.InC && info.Groups > 1 {
+		return 1 // depthwise
+	}
+	return info.InC
+}
+
+// blobBytes is the size of a bias+weights blob covering cnt output channels.
+func blobBytes(info *isa.LayerInfo, cnt int) uint32 {
+	return uint32(cnt)*4 + uint32(cnt*inPerOut(info)*info.KH*info.KW)
+}
+
+// checkWeights validates a conv layer's parameters against its shape.
+func checkWeights(ll *loweredLayer) error {
 	info := &ll.info
 	p := ll.params
 	if p == nil || p.Weights == nil {
-		return nil, fmt.Errorf("compiler: conv layer %s missing weights", info.Name)
+		return fmt.Errorf("compiler: conv layer %s missing weights", info.Name)
 	}
-	depthwise := info.Groups == info.InC && info.Groups > 1
-	icg := info.InC
-	if depthwise {
-		icg = 1
-	}
+	icg := inPerOut(info)
 	ws := p.Weights.Shape
 	if ws[0] != info.OutC || ws[1] != icg || ws[2] != info.KH || ws[3] != info.KW {
-		return nil, fmt.Errorf("compiler: conv layer %s weight shape %v, want [%d %d %d %d]", info.Name, ws, info.OutC, icg, info.KH, info.KW)
+		return fmt.Errorf("compiler: conv layer %s weight shape %v, want [%d %d %d %d]", info.Name, ws, info.OutC, icg, info.KH, info.KW)
 	}
 	if len(p.Bias) != info.OutC {
-		return nil, fmt.Errorf("compiler: conv layer %s bias length %d, want %d", info.Name, len(p.Bias), info.OutC)
+		return fmt.Errorf("compiler: conv layer %s bias length %d, want %d", info.Name, len(p.Bias), info.OutC)
 	}
-	nOut := ceilDiv(info.OutC, paraOut)
-	var out []byte
-	var b4 [4]byte
-	for og := 0; og < nOut; og++ {
-		oc0 := og * paraOut
+	return nil
+}
+
+// fillWeightBlobs writes a checked conv layer's parameters in LOAD_W order
+// at the start of dst, the layer's slice of the weight image.
+func fillWeightBlobs(dst []byte, ll *loweredLayer, paraOut int) {
+	info := &ll.info
+	p := ll.params
+	per := inPerOut(info) * info.KH * info.KW // int8 weights per output channel
+	for oc0 := 0; oc0 < info.OutC; oc0 += paraOut {
 		oc1 := min(oc0+paraOut, info.OutC)
 		for oc := oc0; oc < oc1; oc++ {
-			binary.LittleEndian.PutUint32(b4[:], uint32(p.Bias[oc]))
-			out = append(out, b4[:]...)
+			binary.LittleEndian.PutUint32(dst, uint32(p.Bias[oc]))
+			dst = dst[4:]
 		}
-		for oc := oc0; oc < oc1; oc++ {
-			base := ((oc * icg) * info.KH) * info.KW
-			for j := 0; j < icg*info.KH*info.KW; j++ {
-				out = append(out, byte(p.Weights.Data[base+j]))
-			}
+		// The tensor is oc-major, so a group's weights are one run.
+		run := p.Weights.Data[oc0*per : oc1*per]
+		blob := dst[:len(run)]
+		for j, w := range run {
+			blob[j] = byte(w)
 		}
+		dst = dst[len(run):]
 	}
-	return out, nil
 }
 
 // WeightBlob locates the LOAD_W transfer for (layer, outGroup):
-// address and length of the bias+weights blob.
+// address and length of the bias+weights blob. Only the last group can be
+// partial, so every earlier one is a full paraOut blob.
 func WeightBlob(info *isa.LayerInfo, paraOut, og int) (addr, length uint32) {
-	depthwise := info.Groups == info.InC && info.Groups > 1
-	icg := info.InC
-	if depthwise {
-		icg = 1
-	}
-	per := func(cnt int) uint32 { return uint32(cnt)*4 + uint32(cnt*icg*info.KH*info.KW) }
-	var off uint32
-	for i := 0; i < og; i++ {
-		off += per(min(paraOut, info.OutC-i*paraOut))
-	}
 	cnt := min(paraOut, info.OutC-og*paraOut)
-	return info.WAddr + off, per(cnt)
+	return info.WAddr + uint32(og)*blobBytes(info, paraOut), blobBytes(info, cnt)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // checkBuffers validates that every layer's working set fits the configured
 // on-chip buffer capacities (when non-zero).

@@ -21,6 +21,19 @@ type emitter struct {
 	saveID uint32
 }
 
+// reserve sizes prog.Instrs from a per-layer upper bound so emission never
+// regrows it: a tile issues at most three LOAD_D per batch element, and per
+// out-channel group and element at most NIn CALCs plus a LOAD_W and a SAVE.
+func (e *emitter) reserve() {
+	batch := e.prog.BatchN()
+	n := 1 // END
+	for i := range e.prog.Layers {
+		l := &e.prog.Layers[i]
+		n += l.NTiles * (3*batch + l.NOut*batch*(l.NIn+2))
+	}
+	e.prog.Instrs = make([]isa.Instruction, 0, n)
+}
+
 func (e *emitter) add(in isa.Instruction) {
 	e.prog.Instrs = append(e.prog.Instrs, in)
 }

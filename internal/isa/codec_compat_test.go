@@ -154,10 +154,8 @@ func TestBuildLinkedArena(t *testing.T) {
 		t.Fatalf("arena %d bytes, want %d", len(arena), total)
 	}
 	for i, p := range linked {
-		for j, w := range p.Weights {
-			if got := int8(arena[int(p.WeightsAddr)+j]); got != w {
-				t.Fatalf("program %d weight %d: arena %d, want %d", i, j, got, w)
-			}
+		if got := arena[p.WeightsAddr:][:len(p.Weights)]; !bytes.Equal(got, p.Weights) {
+			t.Fatalf("program %d: arena holds %v at its weight base, want %v", i, got, p.Weights)
 		}
 	}
 

@@ -2,9 +2,11 @@ package isa
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary format of instruction.bin:
@@ -17,8 +19,8 @@ import (
 //	         u32 weightsAddr | u32 weightsLen
 //	         u64 responseBound (v3+)
 //	layers:  fixed 72-byte records + u16-prefixed name
-//	instrs:  fixed 24-byte records
-//	weights: raw int8 image (weightsLen bytes)
+//	instrs:  fixed 28-byte records (see instrRecordBytes)
+//	weights: the DDR weight image, verbatim (weightsLen bytes)
 //
 // Version history: v1 had no batch field, no fused-residual layer fields and
 // a 68-byte layer record. v2 added the batch dimension and the
@@ -83,100 +85,155 @@ type fixedLayer struct {
 	NTiles    uint32
 }
 
-type fixedInstr struct {
-	Op     uint8
-	Which  uint8
-	Layer  uint16
-	InG    uint16
-	OutG   uint16
-	Row0   uint16
-	Rows   uint16
-	Tile   uint16
-	Bat    uint16
-	SaveID uint32
-	Addr   uint32
-	Len    uint32
+// instrRecordBytes is the size of one instruction record on the wire:
+//
+//	u8 op | u8 which | u16 layer | u16 inG | u16 outG | u16 row0 | u16 rows
+//	u16 tile | u16 bat | u32 saveID | u32 addr | u32 len
+//
+// A program carries tens of thousands of them, so Encode and Decode pack the
+// record by hand instead of reflecting over a struct per instruction.
+const instrRecordBytes = 28
+
+func putInstr(b *[instrRecordBytes]byte, in *Instruction) {
+	le := binary.LittleEndian
+	b[0], b[1] = uint8(in.Op), in.Which
+	le.PutUint16(b[2:], in.Layer)
+	le.PutUint16(b[4:], in.InG)
+	le.PutUint16(b[6:], in.OutG)
+	le.PutUint16(b[8:], in.Row0)
+	le.PutUint16(b[10:], in.Rows)
+	le.PutUint16(b[12:], in.Tile)
+	le.PutUint16(b[14:], in.Bat)
+	le.PutUint32(b[16:], in.SaveID)
+	le.PutUint32(b[20:], in.Addr)
+	le.PutUint32(b[24:], in.Len)
 }
 
-// Encode writes the program in instruction.bin format.
+func getInstr(b *[instrRecordBytes]byte) Instruction {
+	le := binary.LittleEndian
+	return Instruction{
+		Op: Op(b[0]), Which: b[1], Layer: le.Uint16(b[2:]),
+		InG: le.Uint16(b[4:]), OutG: le.Uint16(b[6:]),
+		Row0: le.Uint16(b[8:]), Rows: le.Uint16(b[10:]),
+		Tile: le.Uint16(b[12:]), Bat: le.Uint16(b[14:]),
+		SaveID: le.Uint32(b[16:]), Addr: le.Uint32(b[20:]), Len: le.Uint32(b[24:]),
+	}
+}
+
+// EncodeError reports a program field whose value the instruction.bin format
+// cannot represent. Encode returns it before writing anything: a wrapped
+// value would produce an image that decodes to a different program.
+type EncodeError struct {
+	Field string // wire field name, e.g. "Batch", "WeightsLen", "Layers[3].KH"
+	Value int64
+	Max   int64 // largest encodable value (the smallest is 0)
+}
+
+func (e *EncodeError) Error() string {
+	return fmt.Sprintf("isa: cannot encode %s = %d (format holds 0..%d)", e.Field, e.Value, e.Max)
+}
+
+// narrower converts program fields to their wire widths and remembers the
+// first that does not fit, named under Layers[layer] when layer >= 0.
+type narrower struct {
+	layer int
+	err   *EncodeError
+}
+
+func (n *narrower) fit(field string, v int, max int64) int {
+	if n.err == nil && (v < 0 || int64(v) > max) {
+		if n.layer >= 0 {
+			field = fmt.Sprintf("Layers[%d].%s", n.layer, field)
+		}
+		n.err = &EncodeError{Field: field, Value: int64(v), Max: max}
+	}
+	return v
+}
+
+func (n *narrower) u8(field string, v int) uint8   { return uint8(n.fit(field, v, math.MaxUint8)) }
+func (n *narrower) u16(field string, v int) uint16 { return uint16(n.fit(field, v, math.MaxUint16)) }
+func (n *narrower) u32(field string, v int) uint32 { return uint32(n.fit(field, v, math.MaxUint32)) }
+
+// Encode writes the program in instruction.bin format. A program with a
+// field the format cannot hold is refused with an *EncodeError and nothing is
+// written.
 func Encode(w io.Writer, p *Program) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	hdr := fixedHeader{
+	// The header and layer table are small: build them first, so that a
+	// refusal comes before the first byte reaches w. (A bytes.Buffer write
+	// cannot fail, and binary.Write only fails on types it cannot size.)
+	var head bytes.Buffer
+	nw := narrower{layer: -1}
+	le := binary.LittleEndian
+	head.WriteString(magic)
+	binary.Write(&head, le, fixedHeader{
 		Version:    version,
-		ParaIn:     uint16(p.ParaIn),
-		ParaOut:    uint16(p.ParaOut),
-		ParaHeight: uint16(p.ParaHeight),
-		Batch:      uint16(p.Batch),
-		NameLen:    uint16(len(p.Name)),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(p.Name); err != nil {
-		return err
-	}
-	counts := fixedCounts{
-		NLayers:     uint32(len(p.Layers)),
-		NInstrs:     uint32(len(p.Instrs)),
+		ParaIn:     nw.u16("ParaIn", p.ParaIn),
+		ParaOut:    nw.u16("ParaOut", p.ParaOut),
+		ParaHeight: nw.u16("ParaHeight", p.ParaHeight),
+		Batch:      nw.u16("Batch", p.Batch),
+		NameLen:    nw.u16("NameLen", len(p.Name)),
+	})
+	head.WriteString(p.Name)
+	binary.Write(&head, le, fixedCounts{
+		NLayers:     nw.u32("NLayers", len(p.Layers)),
+		NInstrs:     nw.u32("NInstrs", len(p.Instrs)),
 		DDRBytes:    p.DDRBytes,
 		InputAddr:   p.InputAddr,
 		InputBytes:  p.InputBytes,
 		OutputAddr:  p.OutputAddr,
 		OutputBytes: p.OutputBytes,
 		WeightsAddr: p.WeightsAddr,
-		WeightsLen:  uint32(len(p.Weights)),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, counts); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, p.ResponseBound); err != nil {
-		return err
-	}
+		WeightsLen:  nw.u32("WeightsLen", len(p.Weights)),
+	})
+	binary.Write(&head, le, p.ResponseBound)
 	for i := range p.Layers {
 		l := &p.Layers[i]
-		fl := fixedLayer{
-			Op: uint8(l.Op), Shift: l.Shift, ReLU: b2u(l.ReLU), FusedPool: uint8(l.FusedPool),
+		nw.layer = i
+		binary.Write(&head, le, fixedLayer{
+			Op: uint8(l.Op), Shift: l.Shift, ReLU: b2u(l.ReLU), FusedPool: nw.u8("FusedPool", l.FusedPool),
 			FusedAdd: b2u(l.FusedAdd), AddShift: l.AddShift, AddReLU: b2u(l.AddReLU),
-			InC: uint32(l.InC), InH: uint32(l.InH), InW: uint32(l.InW),
-			OutC: uint32(l.OutC), OutH: uint32(l.OutH), OutW: uint32(l.OutW),
-			KH: uint16(l.KH), KW: uint16(l.KW), Stride: uint16(l.Stride), Pad: uint16(l.Pad),
-			Groups: uint32(l.Groups),
+			InC: nw.u32("InC", l.InC), InH: nw.u32("InH", l.InH), InW: nw.u32("InW", l.InW),
+			OutC: nw.u32("OutC", l.OutC), OutH: nw.u32("OutH", l.OutH), OutW: nw.u32("OutW", l.OutW),
+			KH: nw.u16("KH", l.KH), KW: nw.u16("KW", l.KW), Stride: nw.u16("Stride", l.Stride), Pad: nw.u16("Pad", l.Pad),
+			Groups: nw.u32("Groups", l.Groups),
 			InAddr: l.InAddr, In2Addr: l.In2Addr, OutAddr: l.OutAddr, WAddr: l.WAddr,
-			NIn: uint32(l.NIn), NOut: uint32(l.NOut), NTiles: uint32(l.NTiles),
-		}
-		if err := binary.Write(bw, binary.LittleEndian, fl); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(l.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(l.Name); err != nil {
+			NIn: nw.u32("NIn", l.NIn), NOut: nw.u32("NOut", l.NOut), NTiles: nw.u32("NTiles", l.NTiles),
+		})
+		binary.Write(&head, le, nw.u16("NameLen", len(l.Name)))
+		head.WriteString(l.Name)
+	}
+	if nw.err != nil {
+		return nw.err
+	}
+
+	// A bufio.Writer keeps its first error and Flush returns it.
+	bw := bufio.NewWriter(w)
+	bw.Write(head.Bytes())
+	var rec [instrRecordBytes]byte
+	for i := range p.Instrs {
+		putInstr(&rec, &p.Instrs[i])
+		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
 	}
-	for _, in := range p.Instrs {
-		fi := fixedInstr{
-			Op: uint8(in.Op), Which: in.Which, Layer: in.Layer,
-			InG: in.InG, OutG: in.OutG, Row0: in.Row0, Rows: in.Rows, Tile: in.Tile,
-			Bat: in.Bat, SaveID: in.SaveID, Addr: in.Addr, Len: in.Len,
-		}
-		if err := binary.Write(bw, binary.LittleEndian, fi); err != nil {
-			return err
-		}
-	}
-	if len(p.Weights) > 0 {
-		raw := make([]byte, len(p.Weights))
-		for i, v := range p.Weights {
-			raw[i] = byte(v)
-		}
-		if _, err := bw.Write(raw); err != nil {
-			return err
-		}
-	}
+	bw.Write(p.Weights)
 	return bw.Flush()
+}
+
+// grow returns s with room for at least one more element, doubling the
+// capacity but never past declared, the element count the header claims.
+// Decode's counts are untrusted input: growing only as records actually
+// arrive means a corrupted header costs memory proportional to the bytes
+// supplied (every step at most doubles what has already been filled), where
+// one up-front make() would cost whatever the header says.
+func grow[T any](s []T, declared int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	const floor = 1 << 12
+	out := make([]T, len(s), min(max(2*cap(s), floor), declared))
+	copy(out, s)
+	return out
 }
 
 // Decode reads a program from instruction.bin format.
@@ -210,11 +267,6 @@ func Decode(r io.Reader) (*Program, error) {
 			return nil, fmt.Errorf("isa: reading response bound: %w", err)
 		}
 	}
-	// The count fields are untrusted input: allocate incrementally while
-	// records keep arriving rather than trusting them for one up-front
-	// make(), so a corrupted header can only cost memory proportional to the
-	// bytes actually supplied.
-	const prealloc = 1 << 12
 	p := &Program{
 		Name:          string(name),
 		ResponseBound: respBound,
@@ -222,14 +274,15 @@ func Decode(r io.Reader) (*Program, error) {
 		ParaOut:       int(hdr.ParaOut),
 		ParaHeight:    int(hdr.ParaHeight),
 		Batch:         int(hdr.Batch),
-		Layers:        make([]LayerInfo, 0, min(int(counts.NLayers), prealloc)),
-		Instrs:        make([]Instruction, 0, min(int(counts.NInstrs), prealloc)),
+		Layers:        []LayerInfo{}, // empty, not nil, when the counts are zero
+		Instrs:        []Instruction{},
 		DDRBytes:      counts.DDRBytes,
 		InputAddr:     counts.InputAddr, InputBytes: counts.InputBytes,
 		OutputAddr: counts.OutputAddr, OutputBytes: counts.OutputBytes,
 		WeightsAddr: counts.WeightsAddr,
 	}
-	for i := 0; i < int(counts.NLayers); i++ {
+	nLayers, nInstrs, nWeights := int(counts.NLayers), int(counts.NInstrs), int(counts.WeightsLen)
+	for i := 0; i < nLayers; i++ {
 		var fl fixedLayer
 		if err := binary.Read(br, binary.LittleEndian, &fl); err != nil {
 			return nil, fmt.Errorf("isa: reading layer %d: %w", i, err)
@@ -242,7 +295,7 @@ func Decode(r io.Reader) (*Program, error) {
 		if _, err := io.ReadFull(br, ln); err != nil {
 			return nil, fmt.Errorf("isa: reading layer %d name: %w", i, err)
 		}
-		p.Layers = append(p.Layers, LayerInfo{
+		p.Layers = append(grow(p.Layers, nLayers), LayerInfo{
 			Op: LayerOp(fl.Op), Name: string(ln),
 			InC: int(fl.InC), InH: int(fl.InH), InW: int(fl.InW),
 			OutC: int(fl.OutC), OutH: int(fl.OutH), OutW: int(fl.OutW),
@@ -253,30 +306,21 @@ func Decode(r io.Reader) (*Program, error) {
 			NIn: int(fl.NIn), NOut: int(fl.NOut), NTiles: int(fl.NTiles),
 		})
 	}
-	for i := 0; i < int(counts.NInstrs); i++ {
-		var fi fixedInstr
-		if err := binary.Read(br, binary.LittleEndian, &fi); err != nil {
+	var rec [instrRecordBytes]byte
+	for i := 0; i < nInstrs; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("isa: reading instr %d: %w", i, err)
 		}
-		p.Instrs = append(p.Instrs, Instruction{
-			Op: Op(fi.Op), Which: fi.Which, Layer: fi.Layer,
-			InG: fi.InG, OutG: fi.OutG, Row0: fi.Row0, Rows: fi.Rows, Tile: fi.Tile,
-			Bat: fi.Bat, SaveID: fi.SaveID, Addr: fi.Addr, Len: fi.Len,
-		})
+		p.Instrs = append(grow(p.Instrs, nInstrs), getInstr(&rec))
 	}
-	if counts.WeightsLen > 0 {
-		p.Weights = make([]int8, 0, min(int(counts.WeightsLen), prealloc))
-		var chunk [4096]byte
-		for remaining := int(counts.WeightsLen); remaining > 0; {
-			n := min(remaining, len(chunk))
-			if _, err := io.ReadFull(br, chunk[:n]); err != nil {
-				return nil, fmt.Errorf("isa: reading weights: %w", err)
-			}
-			for _, b := range chunk[:n] {
-				p.Weights = append(p.Weights, int8(b))
-			}
-			remaining -= n
+	// The weight image moves in bulk, straight into each grown tail.
+	for len(p.Weights) < nWeights {
+		p.Weights = grow(p.Weights, nWeights)
+		tail := p.Weights[len(p.Weights):cap(p.Weights)]
+		if _, err := io.ReadFull(br, tail); err != nil {
+			return nil, fmt.Errorf("isa: reading weights: %w", err)
 		}
+		p.Weights = p.Weights[:cap(p.Weights)]
 	}
 	return p, nil
 }

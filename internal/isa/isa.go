@@ -228,9 +228,11 @@ type Program struct {
 	// (no virtual instructions) it is the modeled solo completion time.
 	ResponseBound uint64
 
-	// Weights is the weight image to place at its layers' WAddr regions when
-	// running functionally. Empty for timing-only programs.
-	Weights []int8
+	// Weights is the weight image, as the DDR bytes to place at WeightsAddr
+	// (each layer's blobs at its WAddr) when running functionally: int32
+	// little-endian biases and int8 weights in LOAD_W order. Empty for
+	// timing-only programs.
+	Weights []byte
 	// WeightsAddr is the base address of the weight image.
 	WeightsAddr uint32
 

@@ -30,7 +30,7 @@ func sampleProgram() *isa.Program {
 			{Op: isa.OpEnd},
 		},
 		DDRBytes:    1 << 20,
-		Weights:     []int8{1, -2, 3, -4},
+		Weights:     []byte{1, 0xfe, 3, 0xfc}, // int8 1, -2, 3, -4
 		WeightsAddr: 65536,
 		InputAddr:   0, InputBytes: 3072,
 		OutputAddr: 4096, OutputBytes: 16384,

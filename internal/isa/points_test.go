@@ -2,10 +2,9 @@ package isa_test
 
 import (
 	"bytes"
-	"time"
-
 	"reflect"
 	"testing"
+	"time"
 
 	"inca/internal/isa"
 )
@@ -142,7 +141,8 @@ func TestStripVirtualEdgeCases(t *testing.T) {
 // counts and pre-allocate layer/instruction/weight slices from them, so a
 // 44-byte input claiming 4 billion instructions allocated hundreds of
 // gigabytes before the first record read could fail. Decoding must now fail
-// fast with memory proportional to the input actually supplied.
+// fast with memory proportional to the input actually supplied: for this
+// header-only input, the reader's buffer and nothing sized by a count.
 func TestDecodeHostileCounts(t *testing.T) {
 	// magic + version-2 header with zero name, then counts claiming 2^32-1
 	// layers, instructions and weight bytes — and no body at all.
@@ -157,16 +157,21 @@ func TestDecodeHostileCounts(t *testing.T) {
 		buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	}
 	done := make(chan error, 1)
-	go func() {
-		_, err := isa.Decode(bytes.NewReader(buf.Bytes()))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Decode accepted a truncated stream claiming 2^32-1 records")
+	got := allocated(func() {
+		go func() {
+			_, err := isa.Decode(bytes.NewReader(buf.Bytes()))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("Decode accepted a truncated stream claiming 2^32-1 records")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Decode did not fail fast on hostile record counts")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Decode did not fail fast on hostile record counts")
+	})
+	if got > 64<<10 {
+		t.Errorf("Decode allocated %d bytes for a %d-byte input", got, buf.Len())
 	}
 }

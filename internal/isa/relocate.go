@@ -101,14 +101,12 @@ func BuildLinkedArena(progs []*Program) ([]byte, error) {
 			return nil, fmt.Errorf("isa: program %q arena %d != shared %d (not linked together?)", p.Name, p.DDRBytes, size)
 		}
 		if len(p.Weights) == 0 {
-			return nil, fmt.Errorf("isa: program %q has no weight image", p.Name)
+			return nil, fmt.Errorf("isa: program %q carries no weight image (compile with EmitWeights)", p.Name)
 		}
 		if int(p.WeightsAddr)+len(p.Weights) > len(arena) {
 			return nil, fmt.Errorf("isa: program %q weights exceed the shared arena", p.Name)
 		}
-		for i, v := range p.Weights {
-			arena[int(p.WeightsAddr)+i] = byte(v)
-		}
+		copy(arena[p.WeightsAddr:], p.Weights)
 	}
 	return arena, nil
 }

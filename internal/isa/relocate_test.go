@@ -35,9 +35,7 @@ func TestRelocateFunctionalEquivalence(t *testing.T) {
 
 	run := func(prog *isa.Program, pad uint32) *tensor.Int8 {
 		arena := make([]byte, prog.DDRBytes)
-		for i, v := range prog.Weights {
-			arena[int(prog.WeightsAddr)+i] = byte(v)
-		}
+		copy(arena[prog.WeightsAddr:], prog.Weights)
 		for i, v := range input.Data {
 			arena[int(prog.InputAddr)+i] = byte(v)
 		}

@@ -18,7 +18,7 @@ func cloneProgram(p *isa.Program) *isa.Program {
 	q := *p
 	q.Layers = append([]isa.LayerInfo(nil), p.Layers...)
 	q.Instrs = append([]isa.Instruction(nil), p.Instrs...)
-	q.Weights = append([]int8(nil), p.Weights...)
+	q.Weights = append([]byte(nil), p.Weights...)
 	return &q
 }
 
