@@ -3,7 +3,9 @@ GO ?= go
 .PHONY: tier1 build test bench bench-deploy bench-gate bench-baseline sched-gate vi-gate race refconv vet lint lint-report chaos chaos-cluster fuzz-smoke cover trace progcheck benchmark-smoke loc
 
 # tier1 is the gate every change must keep green.
-tier1: build vet lint test benchmark-smoke race fuzz-smoke cover trace progcheck bench-gate chaos-cluster
+# `cover` is the one full `go test ./...` run of the gate (with a coverage
+# profile); `test` is the same run without one, for humans.
+tier1: build vet lint benchmark-smoke race fuzz-smoke cover trace progcheck bench-gate chaos-cluster
 
 build:
 	$(GO) build ./...
@@ -35,15 +37,13 @@ bench:
 bench-deploy:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeployPhases' -benchmem .
 
-# Regression gate over the batched serving datapath: re-measure and compare
-# *modeled* MACs/s (deterministic cycle model) against the checked-in
-# baseline, failing on a >10% drop. INCA_BENCH_GATE=off skips the gate,
-# INCA_BENCH_GATE_TOL=<pct> widens the tolerance on noisy boxes.
+# The snapshot suites (internal/bench.Suites): every number in them comes
+# from the deterministic cycle model, so the gate re-measures each suite and
+# fails unless the result is byte-identical to the checked-in BENCH_<suite>.json
+# — an improvement fails like a regression; refresh with bench-baseline.
+SUITES := datapath cluster sched vi
 bench-gate:
-	$(GO) run ./cmd/inca-bench -suite=datapath -gate BENCH_datapath.json
-	$(GO) run ./cmd/inca-bench -suite=cluster -gate BENCH_cluster.json
-	$(GO) run ./cmd/inca-bench -suite=sched -gate BENCH_sched.json
-	$(GO) run ./cmd/inca-bench -suite=vi -gate BENCH_vi.json
+	set -e; for s in $(SUITES); do $(GO) run ./cmd/inca-bench -suite=$$s -gate BENCH_$$s.json; done
 
 # Scheduling-policy gate alone: predictive vs static-priority vs
 # rate-monotonic on the DSLAM task set, including the predictive-SLA >=
@@ -57,13 +57,11 @@ sched-gate:
 vi-gate:
 	$(GO) run ./cmd/inca-bench -suite=vi -gate BENCH_vi.json
 
-# Refresh the checked-in baselines (run after intentional perf, cycle-model,
-# or scheduler changes, and commit the result).
+# Refresh the checked-in snapshots (run after an intentional cycle-model,
+# compiler, scheduler or cluster change, review the diff, and commit it). A
+# suite whose baseline-free contract fails writes nothing.
 bench-baseline:
-	$(GO) run ./cmd/inca-bench -suite=datapath -snapshot BENCH_datapath.json
-	$(GO) run ./cmd/inca-bench -suite=cluster -snapshot BENCH_cluster.json
-	$(GO) run ./cmd/inca-bench -suite=sched -snapshot BENCH_sched.json
-	$(GO) run ./cmd/inca-bench -suite=vi -snapshot BENCH_vi.json
+	set -e; for s in $(SUITES); do $(GO) run ./cmd/inca-bench -suite=$$s -snapshot BENCH_$$s.json; done
 
 # Race-detector pass: the accel differential tests plus bounded slices of
 # the sched, slam, and trace suites (-run filters keep tier1 time sane; the
@@ -116,7 +114,7 @@ progcheck:
 
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
-COVER_FLOOR ?= 74.5
+COVER_FLOOR ?= 76.0
 COVERPROFILE ?= cover.out
 cover:
 	$(GO) test ./... -count 1 -coverprofile=$(COVERPROFILE)

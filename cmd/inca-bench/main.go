@@ -7,11 +7,8 @@
 //	inca-bench -e E1,E3 -scale quick
 //	inca-bench -e E2 -cpuprofile cpu.pprof -benchjson results.json
 //	inca-bench -suite=datapath -snapshot BENCH_datapath.json  (refresh a baseline)
-//	inca-bench -suite=datapath -gate BENCH_datapath.json      (fail on regression)
+//	inca-bench -suite=datapath -gate BENCH_datapath.json      (fail on any difference)
 //	inca-bench -suite=cluster|sched|vi -gate BENCH_<suite>.json
-//
-// A bare -gate PATH without -suite keeps its historical meaning: the
-// datapath suite.
 package main
 
 import (
@@ -19,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -33,6 +29,12 @@ func main() {
 }
 
 func run(args []string, stdout, errw io.Writer) int {
+	suiteNames := make([]string, len(bench.Suites))
+	for i, s := range bench.Suites {
+		suiteNames[i] = s.Name
+	}
+	suiteList := strings.Join(suiteNames, "|")
+
 	fs := flag.NewFlagSet("inca-bench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
@@ -45,10 +47,9 @@ func run(args []string, stdout, errw io.Writer) int {
 		benchJSON  = fs.String("benchjson", "", "write all result tables as a JSON array to this file")
 		traceOut   = fs.String("trace", "", "run the two-task preemption workload with tracing and write Perfetto JSON here (metrics beside it)")
 		traceCap   = fs.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
-		suiteName  = fs.String("suite", "", "benchmark suite: datapath, cluster, sched, or vi (use with -snapshot and/or -gate)")
-		snapPath   = fs.String("snapshot", "", "run the selected -suite and write its schema-versioned snapshot here (e.g. BENCH_datapath.json)")
-		gatePath   = fs.String("gate", "", "run the selected -suite (datapath when -suite is absent) and fail on regression vs this baseline snapshot")
-		reps       = fs.Int("reps", 3, "wall-clock best-of repetitions for the datapath suite")
+		suiteName  = fs.String("suite", "", "snapshot suite: "+suiteList+" (use with -snapshot and/or -gate)")
+		snapPath   = fs.String("snapshot", "", "run the selected -suite and write its snapshot here (e.g. BENCH_datapath.json)")
+		gatePath   = fs.String("gate", "", "run the selected -suite and fail unless its snapshot is byte-identical to this checked-in one")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -58,31 +59,20 @@ func run(args []string, stdout, errw io.Writer) int {
 		return 1
 	}
 
-	if *suiteName == "" && *gatePath != "" {
-		// Historical spelling: a bare -gate PATH means the datapath suite.
-		*suiteName = "datapath"
-	}
 	if *suiteName != "" {
-		var err error
-		switch *suiteName {
-		case "datapath":
-			err = runSuite(datapathSuite(*reps), *snapPath, *gatePath, *formatMD, stdout, errw)
-		case "cluster":
-			err = runSuite(clusterSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
-		case "sched":
-			err = runSuite(schedSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
-		case "vi":
-			err = runSuite(viSuite, *snapPath, *gatePath, *formatMD, stdout, errw)
-		default:
-			return fail("unknown -suite %q (datapath|cluster|sched|vi)", *suiteName)
+		for _, s := range bench.Suites {
+			if s.Name != *suiteName {
+				continue
+			}
+			if err := runSuite(s, *snapPath, *gatePath, *formatMD, stdout); err != nil {
+				return fail("%v", err)
+			}
+			return 0
 		}
-		if err != nil {
-			return fail("%v", err)
-		}
-		return 0
+		return fail("unknown -suite %q (%s)", *suiteName, suiteList)
 	}
-	if *snapPath != "" {
-		return fail("-snapshot needs -suite (datapath|cluster|sched|vi)")
+	if *snapPath != "" || *gatePath != "" {
+		return fail("-snapshot and -gate need -suite (%s)", suiteList)
 	}
 
 	scale := bench.Quick
@@ -242,121 +232,35 @@ func runExperiments(exps string, scale bench.Scale) ([]*bench.Table, error) {
 	return tables, nil
 }
 
-// suite adapts one internal/bench suite — its snapshot type S and the
-// Write/Read/Gate triplet over it — to the shared snapshot-and-gate driver.
-type suite[S any] struct {
-	// name prefixes the gate's messages; regressed is what a failed gate says
-	// got worse.
-	name, regressed string
-	measure         func() (*S, *bench.Table, error)
-	// header exposes the snapshot's schema version and its git_rev field.
-	header func(*S) (schema int, rev *string)
-	write  func(io.Writer, *S) error
-	read   func(path string) (*S, error)
-	gate   func(baseline, current *S, tolPct float64) (fails, notes []string)
-}
-
-func datapathSuite(reps int) suite[bench.DatapathSnapshot] {
-	return suite[bench.DatapathSnapshot]{
-		name: "bench-gate", regressed: "modeled throughput",
-		measure: func() (*bench.DatapathSnapshot, *bench.Table, error) { return bench.Datapath(reps) },
-		header:  func(s *bench.DatapathSnapshot) (int, *string) { return s.Schema, &s.GitRev },
-		write:   bench.WriteDatapath, read: bench.ReadDatapath, gate: bench.Gate,
+// runSuite measures one suite — its baseline-free contract is checked on
+// every measurement, so a violating snapshot is neither written nor gated —
+// then writes the snapshot (-snapshot) and/or compares it byte for byte with a
+// checked-in one (-gate).
+func runSuite(s bench.Suite, snapPath, gatePath string, md bool, stdout io.Writer) error {
+	snap, t, err := s.Run()
+	if t != nil {
+		printTable(stdout, t, md)
 	}
-}
-
-// The cluster sweep is fully deterministic (cycle model).
-var clusterSuite = suite[bench.ClusterSnapshot]{
-	name: "cluster-gate", regressed: "serving quality",
-	measure: bench.ClusterBench,
-	header:  func(s *bench.ClusterSnapshot) (int, *string) { return s.Schema, &s.GitRev },
-	write:   bench.WriteCluster, read: bench.ReadCluster, gate: bench.GateCluster,
-}
-
-// On top of the regression checks, the sched gate enforces that the
-// predictive scenario never attains less SLA than the static-priority
-// baseline it falls back to.
-var schedSuite = suite[bench.SchedSnapshot]{
-	name: "sched-gate", regressed: "scheduling quality",
-	measure: bench.SchedBench,
-	header:  func(s *bench.SchedSnapshot) (int, *string) { return s.Schema, &s.GitRev },
-	write:   bench.WriteSched, read: bench.ReadSched, gate: bench.GateSched,
-}
-
-// The vi suite is the interrupt-point placement sweep — footprint and
-// proven-vs-measured response of the VIEvery and VIBudget streams on the
-// DSLAM model set. On top of the regression checks its gate enforces,
-// baseline-free, that no measured response exceeds its proven bound and that
-// the optimizer genuinely pruned.
-var viSuite = suite[bench.VISnapshot]{
-	name: "vi-gate", regressed: "interrupt-point placement",
-	measure: bench.VIBench,
-	header:  func(s *bench.VISnapshot) (int, *string) { return s.Schema, &s.GitRev },
-	write:   bench.WriteVI, read: bench.ReadVI, gate: bench.GateVI,
-}
-
-// runSuite measures one suite, writes a fresh snapshot (-snapshot) and/or
-// compares it against a checked-in baseline (-gate). INCA_BENCH_GATE=off
-// skips the comparison, INCA_BENCH_GATE_TOL widens the allowed drop for
-// noisy boxes.
-func runSuite[S any](s suite[S], snapPath, gatePath string, md bool, stdout, errw io.Writer) error {
-	if gatePath != "" && os.Getenv("INCA_BENCH_GATE") == "off" {
-		fmt.Fprintf(stdout, "%s: skipped (INCA_BENCH_GATE=off)\n", s.name)
-		return nil
-	}
-	snap, t, err := s.measure()
 	if err != nil {
-		return fmt.Errorf("%s: %v", s.name, err)
+		return err
 	}
-	schema, rev := s.header(snap)
-	*rev = gitRev()
-	printTable(stdout, t, md)
 	if snapPath != "" {
-		f, err := os.Create(snapPath)
+		data, err := bench.Render(snap)
 		if err != nil {
-			return fmt.Errorf("create %s: %v", snapPath, err)
+			return fmt.Errorf("render %s: %v", snapPath, err)
 		}
-		defer f.Close()
-		if err := s.write(f, snap); err != nil {
-			return fmt.Errorf("write %s: %v", snapPath, err)
+		if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+			return err
 		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("write %s: %v", snapPath, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s (schema v%d, rev %s)\n", snapPath, schema, *rev)
+		fmt.Fprintf(stdout, "wrote %s\n", snapPath)
 	}
 	if gatePath != "" {
-		baseline, err := s.read(gatePath)
-		if err != nil {
-			return fmt.Errorf("%s baseline: %v", s.name, err)
+		if err := bench.Gate(snap, gatePath); err != nil {
+			return fmt.Errorf("%s-gate: %v", s.Name, err)
 		}
-		_, baseRev := s.header(baseline)
-		tol := bench.GateTolerancePct()
-		fails, notes := s.gate(baseline, snap, tol)
-		for _, n := range notes {
-			fmt.Fprintf(stdout, "%s: note: %s\n", s.name, n)
-		}
-		for _, f := range fails {
-			fmt.Fprintf(errw, "%s: %s\n", s.name, f)
-		}
-		if len(fails) > 0 {
-			return fmt.Errorf("%s regressed vs %s (baseline rev %s, tolerance %.1f%%)",
-				s.regressed, gatePath, *baseRev, tol)
-		}
-		fmt.Fprintf(stdout, "%s: ok vs %s (baseline rev %s, tolerance %.1f%%)\n",
-			s.name, gatePath, *baseRev, tol)
+		fmt.Fprintf(stdout, "%s-gate: ok vs %s (byte-identical)\n", s.Name, gatePath)
 	}
 	return nil
-}
-
-// gitRev best-effort resolves the working tree's short revision for the
-// snapshot header; "unknown" outside a git checkout.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func printTable(w io.Writer, t *bench.Table, md bool) {

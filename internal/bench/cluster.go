@@ -1,30 +1,21 @@
 package bench
 
-// The cluster serving benchmark behind `inca-bench -cluster` and the
-// cluster half of `make bench-gate`: it replays a fixed seeded request
+// The cluster serving benchmark behind `inca-bench -suite=cluster` and the
+// cluster quarter of `make bench-gate`: it replays a fixed seeded request
 // stream through the fault-tolerant EngineCluster at N=1/2/4 engines, with
-// and without injected faults, and emits a schema-versioned snapshot that
-// is checked in as BENCH_cluster.json. Every number comes from the
-// deterministic cycle model (same seed, same placement, same fault draws),
-// so the gate can compare goodput, tail latency, and SLA attainment
-// exactly — any drift is a real behavioural change in the dispatcher, the
-// migration protocol, or the IAU underneath it.
+// and without injected faults, and emits the snapshot checked in as
+// BENCH_cluster.json. Every number comes from the deterministic cycle model
+// (same seed, same placement, same fault draws), so Gate compares the file
+// byte for byte — any drift is a real behavioural change in the dispatcher,
+// the migration protocol, or the IAU underneath it.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"inca/internal/accel"
 	"inca/internal/cluster"
 	"inca/internal/iau"
 )
-
-// ClusterSchema is the snapshot format version. Bump it whenever the JSON
-// layout, the workload, or the fault operating point changes; the gate
-// refuses to compare across schema versions.
-const ClusterSchema = 1
 
 // Fixed operating point for the snapshot. The fault scenarios use the
 // ISSUE-spec serving chaos rates: 5% of attempts hang (watchdog kill), 5%
@@ -53,7 +44,7 @@ type ClusterScenario struct {
 	WatchdogKills  int `json:"watchdog_kills"`
 	Quarantines    int `json:"quarantines"`
 
-	// Service quality from the cycle model. The gate compares these.
+	// Service quality from the cycle model.
 	GoodputPerSec  float64 `json:"goodput_per_sec"`
 	P50Cycles      uint64  `json:"p50_cycles"`
 	P99Cycles      uint64  `json:"p99_cycles"`
@@ -63,8 +54,6 @@ type ClusterScenario struct {
 
 // ClusterSnapshot is the checked-in serving baseline.
 type ClusterSnapshot struct {
-	Schema    int               `json:"schema"`
-	GitRev    string            `json:"git_rev"`
 	Config    string            `json:"config"`
 	Tasks     int               `json:"tasks"`
 	Seed      uint64            `json:"seed"`
@@ -84,10 +73,7 @@ func clusterBenchConfig() accel.Config {
 // faults off and on, and returns the snapshot plus a rendered table.
 func ClusterBench() (*ClusterSnapshot, *Table, error) {
 	cfg := clusterBenchConfig()
-	snap := &ClusterSnapshot{
-		Schema: ClusterSchema, Config: cfg.Name,
-		Tasks: clusterBenchTasks, Seed: clusterBenchSeed,
-	}
+	snap := &ClusterSnapshot{Config: cfg.Name, Tasks: clusterBenchTasks, Seed: clusterBenchSeed}
 	t := &Table{
 		ID:    "CLUSTER",
 		Title: fmt.Sprintf("fault-tolerant serving (%s, %d requests, seed %d)", cfg.Name, clusterBenchTasks, clusterBenchSeed),
@@ -155,91 +141,6 @@ func ClusterBench() (*ClusterSnapshot, *Table, error) {
 	}
 	t.AddNote("+faults injects %.0f%% per-attempt hangs, %.0f%% backup corruption, %.0f%% stalls",
 		100*clusterHangProb, 100*clusterFaultRate, 100*clusterFaultRate)
-	t.AddNote("all columns come from the deterministic cycle model at %d MHz; the gate compares goodput, p99, and SLA", cfg.FreqMHz)
+	t.AddNote("all columns come from the deterministic cycle model at %d MHz", cfg.FreqMHz)
 	return snap, t, nil
-}
-
-// WriteCluster serialises a snapshot as indented JSON.
-func WriteCluster(w io.Writer, s *ClusterSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadCluster loads a snapshot from a baseline file.
-func ReadCluster(path string) (*ClusterSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s ClusterSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &s, nil
-}
-
-// GateCluster compares the current sweep against the baseline and returns
-// one fail line per regression beyond tol percent — goodput or SLA dropped,
-// p99 latency rose, or a task that used to complete now sheds — plus
-// informational notes. Like Gate, it compares only metrics present in both
-// snapshots: a schema bump or a metric missing on one side (zero after
-// unmarshalling) becomes a note, not a failure. Under matching schemas,
-// scenarios present on only one side still fail.
-func GateCluster(baseline, current *ClusterSnapshot, tolPct float64) (fails, notes []string) {
-	crossSchema := baseline.Schema != current.Schema
-	if crossSchema {
-		notes = append(notes, fmt.Sprintf("schema mismatch: baseline v%d vs current v%d — comparing only metrics present in both (regenerate BENCH_cluster.json to re-arm full gating)",
-			baseline.Schema, current.Schema))
-	}
-	presence := func(f string, a ...interface{}) {
-		if crossSchema {
-			notes = append(notes, fmt.Sprintf(f, a...))
-		} else {
-			fails = append(fails, fmt.Sprintf(f, a...))
-		}
-	}
-	base := map[string]ClusterScenario{}
-	for _, s := range baseline.Scenarios {
-		base[s.Name] = s
-	}
-	seen := map[string]bool{}
-	drop := func(name, col string, was, now float64) {
-		if was <= 0 {
-			return
-		}
-		d := (was - now) / was * 100
-		if d > tolPct {
-			fails = append(fails, fmt.Sprintf("%s %s: %.1f -> %.1f (-%.1f%% > %.1f%% tolerance)",
-				name, col, was, now, d, tolPct))
-		}
-	}
-	for _, s := range current.Scenarios {
-		b, ok := base[s.Name]
-		if !ok {
-			presence("%s: not in baseline (regenerate BENCH_cluster.json)", s.Name)
-			continue
-		}
-		seen[s.Name] = true
-		drop(s.Name, "goodput", b.GoodputPerSec, s.GoodputPerSec)
-		drop(s.Name, "SLA", b.SLAPct, s.SLAPct)
-		// p99 gates in the rising direction: a slower tail is the regression.
-		if b.P99Cycles > 0 {
-			rise := (float64(s.P99Cycles) - float64(b.P99Cycles)) / float64(b.P99Cycles) * 100
-			if rise > tolPct {
-				fails = append(fails, fmt.Sprintf("%s p99: %d -> %d cycles (+%.1f%% > %.1f%% tolerance)",
-					s.Name, b.P99Cycles, s.P99Cycles, rise, tolPct))
-			}
-		}
-		if s.Completed < b.Completed {
-			fails = append(fails, fmt.Sprintf("%s: completed %d -> %d (tasks now shed that used to finish)",
-				s.Name, b.Completed, s.Completed))
-		}
-	}
-	for _, s := range baseline.Scenarios {
-		if !seen[s.Name] {
-			presence("%s: in baseline but not measured", s.Name)
-		}
-	}
-	return fails, notes
 }

@@ -1,37 +1,18 @@
 package bench
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestClusterBenchDeterministicAndGateable runs the serving sweep twice and
-// pins the properties the checked-in BENCH_cluster.json relies on: the
-// snapshot is byte-identical across runs (pure cycle model), every scenario
-// drains its ledger, the fault scenarios actually exercise the robustness
-// machinery, and the self-gate passes while a doctored regression fails.
+// TestClusterBenchDeterministicAndGateable pins what makes BENCH_cluster.json
+// worth gating: every scenario drains its ledger and the fault scenarios
+// actually exercise the robustness machinery. Determinism and the gate itself
+// are TestGateAgainstCheckedInBaseline and TestGateDecisions.
 func TestClusterBenchDeterministicAndGateable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep is seconds-long; skipped under -short")
 	}
-	a, _, err := ClusterBench()
+	a, tbl, err := ClusterBench()
 	if err != nil {
 		t.Fatalf("ClusterBench: %v", err)
-	}
-	b, tbl, err := ClusterBench()
-	if err != nil {
-		t.Fatalf("ClusterBench (second run): %v", err)
-	}
-	var ja, jb bytes.Buffer
-	if err := WriteCluster(&ja, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCluster(&jb, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
-		t.Fatalf("snapshot not byte-identical across same-seed runs:\n%s\nvs\n%s", ja.String(), jb.String())
 	}
 	if len(a.Scenarios) != 6 {
 		t.Fatalf("want 6 scenarios (n=1/2/4 x faults off/on), got %d", len(a.Scenarios))
@@ -56,35 +37,5 @@ func TestClusterBenchDeterministicAndGateable(t *testing.T) {
 	}
 	if tbl == nil || len(tbl.Rows) != len(a.Scenarios) {
 		t.Fatalf("table rows (%d) do not match scenarios (%d)", len(tbl.Rows), len(a.Scenarios))
-	}
-
-	// Self-comparison gates clean.
-	if fails, _ := GateCluster(a, b, GateTolerancePct()); len(fails) > 0 {
-		t.Fatalf("self-gate failed: %v", fails)
-	}
-	// A doctored goodput drop, tail-latency rise, and lost scenario all trip.
-	bad := *b
-	bad.Scenarios = append([]ClusterScenario{}, b.Scenarios...)
-	bad.Scenarios[0].GoodputPerSec *= 0.5
-	bad.Scenarios[1].P99Cycles *= 3
-	bad.Scenarios = bad.Scenarios[:len(bad.Scenarios)-1]
-	fails, _ := GateCluster(a, &bad, 10)
-	if len(fails) < 3 {
-		t.Fatalf("doctored snapshot should trip goodput, p99, and missing-scenario checks, got %v", fails)
-	}
-	// A schema bump downgrades presence churn to notes, but the shared
-	// goodput and p99 metrics still gate.
-	bad.Schema = ClusterSchema + 1
-	fails, notes := GateCluster(a, &bad, 10)
-	if len(notes) == 0 || !strings.Contains(notes[0], "schema mismatch") {
-		t.Fatalf("schema mismatch not noted: %v", notes)
-	}
-	if len(fails) < 2 {
-		t.Fatalf("goodput/p99 regressions should survive a schema bump, got %v", fails)
-	}
-	for _, f := range fails {
-		if strings.Contains(f, "not measured") || strings.Contains(f, "not in baseline") {
-			t.Fatalf("presence churn failed the gate across a schema bump: %v", fails)
-		}
 	}
 }

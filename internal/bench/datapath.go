@@ -2,19 +2,14 @@ package bench
 
 // The datapath benchmark behind `inca-bench -suite=datapath` and `make bench-gate`:
 // it measures the batched serving datapath (PR "batched inference" tentpole)
-// on a fixed kernel suite and emits a schema-versioned snapshot that is
-// checked in as BENCH_datapath.json. The regression gate compares the
-// *modeled* MACs/s (deterministic cycle model — safe to gate in CI) between
-// the current tree and the checked-in baseline; the wall-clock GMACs/s
-// columns are informational, because host throughput depends on the box.
+// on a fixed kernel suite and emits the snapshot checked in as
+// BENCH_datapath.json. Every number is *modeled* (deterministic cycle model),
+// so Gate compares the file byte for byte. Host throughput is not measured
+// here: the benchmark's host_ops_per_s and accel.gmacs_per_s and `make bench`
+// own it.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"time"
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
@@ -24,11 +19,6 @@ import (
 	"inca/internal/tensor"
 )
 
-// DatapathSchema is the snapshot format version. Bump it whenever the JSON
-// layout or the measurement methodology changes; the gate refuses to compare
-// across schema versions.
-const DatapathSchema = 1
-
 // DatapathBatch is the batched operating point the snapshot records next to
 // the single-image baseline.
 const DatapathBatch = 8
@@ -37,13 +27,8 @@ const DatapathBatch = 8
 type DatapathKernel struct {
 	Kernel string `json:"kernel"`
 
-	// Wall-clock throughput of the functional engine on this host
-	// (single-worker, best of several runs). Informational only.
-	WallGMACsB1 float64 `json:"wall_gmacs_b1"`
-	WallGMACsB8 float64 `json:"wall_gmacs_b8"`
-
 	// Modeled throughput from the cycle model under the serving
-	// configuration. Deterministic; the gate compares these.
+	// configuration.
 	ModelGMACsB1 float64 `json:"model_gmacs_b1"`
 	ModelGMACsB8 float64 `json:"model_gmacs_b8"`
 
@@ -58,8 +43,6 @@ type DatapathKernel struct {
 
 // DatapathSnapshot is the checked-in benchmark baseline.
 type DatapathSnapshot struct {
-	Schema  int              `json:"schema"`
-	GitRev  string           `json:"git_rev"`
 	Config  string           `json:"config"`
 	Batch   int              `json:"batch"`
 	Kernels []DatapathKernel `json:"kernels"`
@@ -166,24 +149,6 @@ func runStream(cfg accel.Config, p *isa.Program, inputs []*tensor.Int8) (uint64,
 	return total, xfer, nil
 }
 
-// measureWall times repeated full serving passes (arena build + stream) and
-// returns the best-of-reps seconds per pass. Arena construction is part of
-// the measurement on purpose: a B=1 serving loop rebuilds it per image.
-func measureWall(cfg accel.Config, p *isa.Program, inputs []*tensor.Int8, reps int) (float64, error) {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, _, err := runStream(cfg, p, inputs); err != nil {
-			return 0, err
-		}
-		d := time.Since(start).Seconds()
-		if r == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
 func datapathInputs(g *model.Network, n int) []*tensor.Int8 {
 	inputs := make([]*tensor.Int8, n)
 	for b := range inputs {
@@ -194,20 +159,15 @@ func datapathInputs(g *model.Network, n int) []*tensor.Int8 {
 }
 
 // Datapath measures the kernel suite under the serving configuration at B=1
-// and B=8. reps controls the wall-clock best-of loop (>=1; more reps, less
-// noise).
-func Datapath(reps int) (*DatapathSnapshot, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
+// and B=8.
+func Datapath() (*DatapathSnapshot, *Table, error) {
 	cfg := accel.Serving()
-	cfg.Workers = 1 // single host thread: comparable wall numbers across runs
-	snap := &DatapathSnapshot{Schema: DatapathSchema, Config: cfg.Name, Batch: DatapathBatch}
+	snap := &DatapathSnapshot{Config: cfg.Name, Batch: DatapathBatch}
 	t := &Table{
 		ID:    "DATAPATH",
 		Title: fmt.Sprintf("batched serving datapath (%s, B=1 vs B=%d)", cfg.Name, DatapathBatch),
 		Columns: []string{"kernel", "model GMACs/s B1", "model GMACs/s B8", "model speedup",
-			"fetch cyc/elem B1", "fetch cyc/elem B8", "wall GMACs/s B1", "wall GMACs/s B8"},
+			"fetch cyc/elem B1", "fetch cyc/elem B8"},
 	}
 	for _, kc := range datapathCases() {
 		g := kc.build()
@@ -229,18 +189,13 @@ func Datapath(reps int) (*DatapathSnapshot, *Table, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("datapath %s B=%d: %v", kc.name, batch, err)
 			}
-			wall, err := measureWall(cfg, p, inputs, reps)
-			if err != nil {
-				return nil, nil, fmt.Errorf("datapath %s B=%d: %v", kc.name, batch, err)
-			}
 			modelGMACs := macs / cfg.CyclesToSeconds(cycles) / 1e9
-			wallGMACs := macs / wall / 1e9
 			perElem[i] = cfg.CyclesToSeconds(cycles) / float64(batch)
 			if batch == 1 {
-				k.ModelGMACsB1, k.WallGMACsB1 = modelGMACs, wallGMACs
+				k.ModelGMACsB1 = modelGMACs
 				k.FetchCyclesPerElemB1 = float64(xfer)
 			} else {
-				k.ModelGMACsB8, k.WallGMACsB8 = modelGMACs, wallGMACs
+				k.ModelGMACsB8 = modelGMACs
 				k.FetchCyclesPerElemB8 = float64(xfer) / float64(batch)
 			}
 		}
@@ -249,98 +204,9 @@ func Datapath(reps int) (*DatapathSnapshot, *Table, error) {
 		t.AddRow(k.Kernel,
 			fmt.Sprintf("%.3f", k.ModelGMACsB1), fmt.Sprintf("%.3f", k.ModelGMACsB8),
 			fmt.Sprintf("%.2fx", k.ModelSpeedup),
-			fmt.Sprintf("%.0f", k.FetchCyclesPerElemB1), fmt.Sprintf("%.0f", k.FetchCyclesPerElemB8),
-			fmt.Sprintf("%.3f", k.WallGMACsB1), fmt.Sprintf("%.3f", k.WallGMACsB8))
+			fmt.Sprintf("%.0f", k.FetchCyclesPerElemB1), fmt.Sprintf("%.0f", k.FetchCyclesPerElemB8))
 	}
-	t.AddNote("modeled columns are deterministic (cycle model, %s); wall columns depend on the host", cfg.Name)
+	t.AddNote("every column is deterministic (cycle model, %s)", cfg.Name)
 	t.AddNote("fetch cyc/elem counts all LOAD/SAVE transfer cycles after prefetch hiding, per batch element")
 	return snap, t, nil
-}
-
-// WriteDatapath serialises a snapshot as indented JSON.
-func WriteDatapath(w io.Writer, s *DatapathSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadDatapath loads a snapshot from a baseline file.
-func ReadDatapath(path string) (*DatapathSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s DatapathSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &s, nil
-}
-
-// GateTolerancePct returns the allowed relative drop in modeled MACs/s
-// before the gate fails: 10% by default, overridable for noisy boxes via
-// INCA_BENCH_GATE_TOL (a percentage).
-func GateTolerancePct() float64 {
-	if v := os.Getenv("INCA_BENCH_GATE_TOL"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
-		}
-	}
-	return 10
-}
-
-// Gate compares current modeled throughput against the baseline and returns
-// one fail line per regression beyond tol percent, plus informational notes.
-// The gate compares only metrics present in both snapshots: a schema-version
-// bump or a metric key one side lacks (zero after unmarshalling) is reported
-// as a note, never a failure — adding instrumentation must not spuriously
-// trip CI, while a genuine MACs/s drop on a shared metric still does. Under
-// matching schemas, kernels present on only one side DO fail: a silently
-// vanished kernel would otherwise make the gate vacuous.
-func Gate(baseline, current *DatapathSnapshot, tolPct float64) (fails, notes []string) {
-	crossSchema := baseline.Schema != current.Schema
-	if crossSchema {
-		notes = append(notes, fmt.Sprintf("schema mismatch: baseline v%d vs current v%d — comparing only metrics present in both (regenerate BENCH_datapath.json to re-arm full gating)",
-			baseline.Schema, current.Schema))
-	}
-	presence := func(f string, a ...interface{}) {
-		if crossSchema {
-			notes = append(notes, fmt.Sprintf(f, a...))
-		} else {
-			fails = append(fails, fmt.Sprintf(f, a...))
-		}
-	}
-	base := map[string]DatapathKernel{}
-	for _, k := range baseline.Kernels {
-		base[k.Kernel] = k
-	}
-	seen := map[string]bool{}
-	check := func(kernel, col string, was, now float64) {
-		// A zero baseline value means the metric did not exist when the
-		// baseline was written (new JSON key) — nothing to compare.
-		if was <= 0 {
-			return
-		}
-		drop := (was - now) / was * 100
-		if drop > tolPct {
-			fails = append(fails, fmt.Sprintf("%s %s: %.3f -> %.3f GMACs/s (-%.1f%% > %.1f%% tolerance)",
-				kernel, col, was, now, drop, tolPct))
-		}
-	}
-	for _, k := range current.Kernels {
-		b, ok := base[k.Kernel]
-		if !ok {
-			presence("%s: not in baseline (regenerate BENCH_datapath.json)", k.Kernel)
-			continue
-		}
-		seen[k.Kernel] = true
-		check(k.Kernel, "model B=1", b.ModelGMACsB1, k.ModelGMACsB1)
-		check(k.Kernel, "model B=8", b.ModelGMACsB8, k.ModelGMACsB8)
-	}
-	for _, k := range baseline.Kernels {
-		if !seen[k.Kernel] {
-			presence("%s: in baseline but not measured", k.Kernel)
-		}
-	}
-	return fails, notes
 }

@@ -3,24 +3,21 @@ package bench
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// TestDatapathMeasuresSuite runs the real measurement once (reps=1) and
+// TestDatapathMeasuresSuite runs the real measurement once and
 // checks the invariants the snapshot is supposed to certify: every kernel in
 // the fixed suite is present, the modeled numbers are positive and
 // deterministic-speedup-consistent, and the weight-bound dense3x3 kernel
 // clears the 2.5x amortization target the batched scheduler exists for.
 func TestDatapathMeasuresSuite(t *testing.T) {
-	snap, table, err := Datapath(1)
+	snap, table, err := Datapath()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Schema != DatapathSchema || snap.Batch != DatapathBatch {
-		t.Fatalf("snapshot header schema=%d batch=%d", snap.Schema, snap.Batch)
+	if snap.Batch != DatapathBatch {
+		t.Fatalf("snapshot header batch=%d", snap.Batch)
 	}
 	want := map[string]bool{"dense3x3": false, "pointwise1x1": false, "generic5x5": false, "resfused": false}
 	for _, k := range snap.Kernels {
@@ -29,7 +26,7 @@ func TestDatapathMeasuresSuite(t *testing.T) {
 			continue
 		}
 		want[k.Kernel] = true
-		if k.ModelGMACsB1 <= 0 || k.ModelGMACsB8 <= 0 || k.WallGMACsB1 <= 0 || k.WallGMACsB8 <= 0 {
+		if k.ModelGMACsB1 <= 0 || k.ModelGMACsB8 <= 0 {
 			t.Errorf("%s: non-positive throughput %+v", k.Kernel, k)
 		}
 		if ratio := k.ModelGMACsB8 / k.ModelGMACsB1; math.Abs(ratio-k.ModelSpeedup) > 1e-9 {
@@ -53,187 +50,21 @@ func TestDatapathMeasuresSuite(t *testing.T) {
 	}
 }
 
-// TestDatapathModeledDeterministic: the gated columns must be identical
-// across runs — that is the whole argument for gating on them in CI.
+// TestDatapathModeledDeterministic: two measurements in one process render
+// to the same bytes. TestGateAgainstCheckedInBaseline also fails on
+// nondeterminism, but cannot tell it from a stale file; this one can.
 func TestDatapathModeledDeterministic(t *testing.T) {
-	a, _, err := Datapath(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Datapath(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Kernels {
-		ka, kb := a.Kernels[i], b.Kernels[i]
-		if ka.ModelGMACsB1 != kb.ModelGMACsB1 || ka.ModelGMACsB8 != kb.ModelGMACsB8 ||
-			ka.FetchCyclesPerElemB1 != kb.FetchCyclesPerElemB1 ||
-			ka.FetchCyclesPerElemB8 != kb.FetchCyclesPerElemB8 {
-			t.Errorf("%s: modeled columns differ across runs", ka.Kernel)
+	var renders [2][]byte
+	for i := range renders {
+		snap, _, err := Datapath()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renders[i], err = Render(snap); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func snapFixture() *DatapathSnapshot {
-	return &DatapathSnapshot{
-		Schema: DatapathSchema, GitRev: "test", Config: "angel-eye-serving", Batch: DatapathBatch,
-		Kernels: []DatapathKernel{
-			{Kernel: "dense3x3", ModelGMACsB1: 24, ModelGMACsB8: 64},
-			{Kernel: "resfused", ModelGMACsB1: 38, ModelGMACsB8: 57},
-		},
-	}
-}
-
-func TestDatapathSnapshotRoundTrip(t *testing.T) {
-	s := snapFixture()
-	var buf bytes.Buffer
-	if err := WriteDatapath(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDatapath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != s.Schema || got.GitRev != s.GitRev || len(got.Kernels) != len(s.Kernels) {
-		t.Fatalf("round trip mangled snapshot: %+v", got)
-	}
-	if got.Kernels[0] != s.Kernels[0] || got.Kernels[1] != s.Kernels[1] {
-		t.Fatalf("kernel rows differ after round trip")
-	}
-	if _, err := ReadDatapath(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("reading a missing baseline succeeded")
-	}
-}
-
-func TestGateDecisions(t *testing.T) {
-	base := snapFixture()
-
-	t.Run("identical passes", func(t *testing.T) {
-		if fails, _ := Gate(base, snapFixture(), 10); len(fails) != 0 {
-			t.Fatalf("identical snapshots failed gate: %v", fails)
-		}
-	})
-	t.Run("drop within tolerance passes", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Kernels[0].ModelGMACsB1 *= 0.95
-		if fails, _ := Gate(base, cur, 10); len(fails) != 0 {
-			t.Fatalf("5%% drop failed a 10%% gate: %v", fails)
-		}
-	})
-	t.Run("regression fails", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Kernels[1].ModelGMACsB8 *= 0.8
-		fails, _ := Gate(base, cur, 10)
-		if len(fails) != 1 || !strings.Contains(fails[0], "resfused model B=8") {
-			t.Fatalf("20%% drop produced %v", fails)
-		}
-	})
-	t.Run("improvement passes", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Kernels[0].ModelGMACsB8 *= 1.5
-		if fails, _ := Gate(base, cur, 10); len(fails) != 0 {
-			t.Fatalf("improvement failed gate: %v", fails)
-		}
-	})
-	t.Run("schema bump alone does not fail", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Schema++
-		fails, notes := Gate(base, cur, 10)
-		if len(fails) != 0 {
-			t.Fatalf("schema bump with identical metrics failed the gate: %v", fails)
-		}
-		if len(notes) == 0 || !strings.Contains(notes[0], "schema mismatch") {
-			t.Fatalf("schema bump not surfaced as a note: %v", notes)
-		}
-	})
-	t.Run("regression still fails across schema bump", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Schema++
-		cur.Kernels[1].ModelGMACsB8 *= 0.8
-		fails, _ := Gate(base, cur, 10)
-		if len(fails) != 1 || !strings.Contains(fails[0], "resfused model B=8") {
-			t.Fatalf("20%% drop under a schema bump produced %v", fails)
-		}
-	})
-	t.Run("new metric key does not fail", func(t *testing.T) {
-		// The baseline predates a metric (its value unmarshals to zero);
-		// the gate must not treat "0 -> measured" as a comparison.
-		b := snapFixture()
-		b.Kernels[0].ModelGMACsB8 = 0
-		cur := snapFixture()
-		fails, _ := Gate(b, cur, 10)
-		if len(fails) != 0 {
-			t.Fatalf("metric missing from baseline failed the gate: %v", fails)
-		}
-	})
-	t.Run("missing kernel fails both directions", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Kernels = cur.Kernels[:1]
-		cur.Kernels = append(cur.Kernels, DatapathKernel{Kernel: "brandnew", ModelGMACsB1: 1, ModelGMACsB8: 2})
-		fails, _ := Gate(base, cur, 10)
-		if len(fails) != 2 {
-			t.Fatalf("want vanished + unknown kernel findings, got %v", fails)
-		}
-	})
-	t.Run("kernel churn across schema bump is a note", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Schema++
-		cur.Kernels = append(cur.Kernels[:1], DatapathKernel{Kernel: "brandnew", ModelGMACsB1: 1})
-		fails, notes := Gate(base, cur, 10)
-		if len(fails) != 0 {
-			t.Fatalf("kernel churn under a schema bump failed the gate: %v", fails)
-		}
-		if len(notes) != 3 { // mismatch header + unknown kernel + vanished kernel
-			t.Fatalf("want 3 notes, got %v", notes)
-		}
-	})
-	t.Run("wider tolerance forgives", func(t *testing.T) {
-		cur := snapFixture()
-		cur.Kernels[1].ModelGMACsB8 *= 0.8
-		if fails, _ := Gate(base, cur, 25); len(fails) != 0 {
-			t.Fatalf("20%% drop failed a 25%% gate: %v", fails)
-		}
-	})
-}
-
-func TestGateTolerancePctEnv(t *testing.T) {
-	t.Setenv("INCA_BENCH_GATE_TOL", "")
-	if got := GateTolerancePct(); got != 10 {
-		t.Fatalf("default tolerance %v, want 10", got)
-	}
-	t.Setenv("INCA_BENCH_GATE_TOL", "17.5")
-	if got := GateTolerancePct(); got != 17.5 {
-		t.Fatalf("tolerance %v, want 17.5", got)
-	}
-	t.Setenv("INCA_BENCH_GATE_TOL", "bogus")
-	if got := GateTolerancePct(); got != 10 {
-		t.Fatalf("bogus override gave %v, want default 10", got)
-	}
-	t.Setenv("INCA_BENCH_GATE_TOL", "-3")
-	if got := GateTolerancePct(); got != 10 {
-		t.Fatalf("negative override gave %v, want default 10", got)
-	}
-}
-
-// TestGateAgainstCheckedInBaseline replays exactly what `make bench-gate`
-// does in tier1, so a stale BENCH_datapath.json is caught by `go test` too.
-func TestGateAgainstCheckedInBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	baseline, err := ReadDatapath("../../BENCH_datapath.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, _, err := Datapath(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails, _ := Gate(baseline, cur, GateTolerancePct()); len(fails) != 0 {
-		t.Fatalf("checked-in baseline would fail the gate:\n%s", strings.Join(fails, "\n"))
+	if !bytes.Equal(renders[0], renders[1]) {
+		t.Fatalf("snapshot differs across runs:\n%s\nvs\n%s", renders[0], renders[1])
 	}
 }

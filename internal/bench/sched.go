@@ -1,21 +1,18 @@
 package bench
 
-// The scheduling-policy benchmark behind `inca-bench -sched` and the sched
-// third of `make bench-gate`: it replays a fixed DSLAM-style task set under
+// The scheduling-policy benchmark behind `inca-bench -suite=sched` and the
+// sched quarter of `make bench-gate`: it replays a fixed DSLAM-style task set under
 // three scheduling configurations — the paper's static slot priorities in
 // declaration order, a rate-monotonic slot assignment, and the PREMA-style
-// predictive policy on top of the declared (suboptimal) slots — and emits a
-// schema-versioned snapshot checked in as BENCH_sched.json. Every number
-// comes from the deterministic cycle model, so the gate compares SLA
-// attainment, deadline misses, and Jain fairness exactly; it additionally
-// enforces the headline claim that the predictive policy never attains less
-// SLA than the static baseline it falls back to.
+// predictive policy on top of the declared (suboptimal) slots — and emits the
+// snapshot checked in as BENCH_sched.json. Every number comes from the
+// deterministic cycle model, so Gate compares the file byte for byte;
+// checkSched additionally enforces, on every measurement, the headline claim
+// that the predictive policy never attains less SLA than the static baseline
+// it falls back to.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"inca/internal/accel"
@@ -25,11 +22,6 @@ import (
 	"inca/internal/quant"
 	"inca/internal/sched"
 )
-
-// SchedSchema is the snapshot format version. Bump it whenever the JSON
-// layout, the task set, or the horizon changes; the gate then compares only
-// metrics present in both snapshots until the baseline is regenerated.
-const SchedSchema = 1
 
 // schedBenchHorizon is the simulated time each scenario runs for.
 const schedBenchHorizon = 400 * time.Millisecond
@@ -52,7 +44,7 @@ type SchedScenario struct {
 	// the static scenarios).
 	Decisions uint64 `json:"decisions"`
 
-	// Service quality from the cycle model. The gate compares these.
+	// Service quality from the cycle model.
 	MeanSLAPct float64 `json:"mean_sla_pct"`
 	JainPct    float64 `json:"jain_pct"`
 
@@ -67,8 +59,6 @@ type SchedScenario struct {
 
 // SchedSnapshot is the checked-in scheduling baseline.
 type SchedSnapshot struct {
-	Schema    int             `json:"schema"`
-	GitRev    string          `json:"git_rev"`
 	Config    string          `json:"config"`
 	HorizonMS int             `json:"horizon_ms"`
 	Scenarios []SchedScenario `json:"scenarios"`
@@ -128,10 +118,7 @@ func SchedBench() (*SchedSnapshot, *Table, error) {
 		progs[i] = &compiledNet{g: tk.net, p: p}
 	}
 
-	snap := &SchedSnapshot{
-		Schema: SchedSchema, Config: cfg.Name,
-		HorizonMS: int(schedBenchHorizon / time.Millisecond),
-	}
+	snap := &SchedSnapshot{Config: cfg.Name, HorizonMS: int(schedBenchHorizon / time.Millisecond)}
 	t := &Table{
 		ID: "SCHED",
 		Title: fmt.Sprintf("scheduling policies on the DSLAM task set (%s, %d ms horizon)",
@@ -210,7 +197,7 @@ func SchedBench() (*SchedSnapshot, *Table, error) {
 
 	t.AddNote("FE %dms camera deadline, MAP best-effort housekeeping, LOOP %dms closure deadline; declared slots are not rate-monotonic",
 		int(tasks[0].deadline/time.Millisecond), int(tasks[2].deadline/time.Millisecond))
-	t.AddNote("the gate enforces predictive SLA >= static SLA on top of the per-metric regression checks")
+	t.AddNote("every measurement is checked for predictive SLA >= static SLA, independent of the baseline")
 	return snap, t, nil
 }
 
@@ -242,105 +229,23 @@ func schedRTA(cfg accel.Config, tasks []schedTask, progs []*compiledNet, slots [
 	return feasible, total, nil
 }
 
-// WriteSched serialises a snapshot as indented JSON.
-func WriteSched(w io.Writer, s *SchedSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSched loads a snapshot from a baseline file.
-func ReadSched(path string) (*SchedSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s SchedSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &s, nil
-}
-
-// GateSched compares the current sweep against the baseline and returns one
-// fail line per regression beyond tol percent — SLA or fairness dropped,
-// completions lost, or deadline misses appearing where the baseline had
-// none — plus informational notes. Like Gate, it compares only metrics
-// present in both snapshots: a schema bump or a metric missing on one side
-// becomes a note, not a failure; under matching schemas, scenario churn
-// still fails. Independent of any baseline, it fails when the current
-// snapshot's predictive scenario attains less SLA than its static one —
-// the invariant the policy's static fallback is supposed to guarantee.
-func GateSched(baseline, current *SchedSnapshot, tolPct float64) (fails, notes []string) {
-	crossSchema := baseline.Schema != current.Schema
-	if crossSchema {
-		notes = append(notes, fmt.Sprintf("schema mismatch: baseline v%d vs current v%d — comparing only metrics present in both (regenerate BENCH_sched.json to re-arm full gating)",
-			baseline.Schema, current.Schema))
-	}
-	presence := func(f string, a ...interface{}) {
-		if crossSchema {
-			notes = append(notes, fmt.Sprintf(f, a...))
-		} else {
-			fails = append(fails, fmt.Sprintf(f, a...))
-		}
-	}
-	base := map[string]SchedScenario{}
-	for _, s := range baseline.Scenarios {
-		base[s.Name] = s
-	}
-	seen := map[string]bool{}
-	drop := func(name, col string, was, now float64) {
-		if was <= 0 {
-			return
-		}
-		d := (was - now) / was * 100
-		if d > tolPct {
-			fails = append(fails, fmt.Sprintf("%s %s: %.1f -> %.1f (-%.1f%% > %.1f%% tolerance)",
-				name, col, was, now, d, tolPct))
-		}
-	}
+// checkSched is the sched suite's baseline-free contract: the predictive
+// scenario must not attain less SLA than the static one — the invariant the
+// policy's static fallback is supposed to guarantee.
+func checkSched(s *SchedSnapshot) (fails []string) {
 	var staticSLA, predictiveSLA float64
 	haveStatic, havePredictive := false, false
-	for _, s := range current.Scenarios {
-		if s.Name == "static" {
-			staticSLA, haveStatic = s.MeanSLAPct, true
+	for _, sc := range s.Scenarios {
+		if sc.Name == "static" {
+			staticSLA, haveStatic = sc.MeanSLAPct, true
 		}
-		if s.Predictive {
-			predictiveSLA, havePredictive = s.MeanSLAPct, true
-		}
-		b, ok := base[s.Name]
-		if !ok {
-			presence("%s: not in baseline (regenerate BENCH_sched.json)", s.Name)
-			continue
-		}
-		seen[s.Name] = true
-		drop(s.Name, "SLA", b.MeanSLAPct, s.MeanSLAPct)
-		drop(s.Name, "Jain", b.JainPct, s.JainPct)
-		if s.Completed < b.Completed {
-			fails = append(fails, fmt.Sprintf("%s: completed %d -> %d (requests now lost that used to finish)",
-				s.Name, b.Completed, s.Completed))
-		}
-		// Misses gate in the rising direction; a scenario that was
-		// miss-free must stay miss-free.
-		if b.DeadlineMisses == 0 && s.DeadlineMisses > 0 {
-			fails = append(fails, fmt.Sprintf("%s: %d deadline misses where the baseline had none",
-				s.Name, s.DeadlineMisses))
-		} else if b.DeadlineMisses > 0 {
-			rise := float64(s.DeadlineMisses-b.DeadlineMisses) / float64(b.DeadlineMisses) * 100
-			if rise > tolPct {
-				fails = append(fails, fmt.Sprintf("%s: deadline misses %d -> %d (+%.1f%% > %.1f%% tolerance)",
-					s.Name, b.DeadlineMisses, s.DeadlineMisses, rise, tolPct))
-			}
-		}
-	}
-	for _, s := range baseline.Scenarios {
-		if !seen[s.Name] {
-			presence("%s: in baseline but not measured", s.Name)
+		if sc.Predictive {
+			predictiveSLA, havePredictive = sc.MeanSLAPct, true
 		}
 	}
 	if haveStatic && havePredictive && predictiveSLA < staticSLA {
 		fails = append(fails, fmt.Sprintf("predictive SLA %.1f%% below static %.1f%% — the cost model made scheduling worse than its own fallback",
 			predictiveSLA, staticSLA))
 	}
-	return fails, notes
+	return fails
 }

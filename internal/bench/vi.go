@@ -7,17 +7,15 @@ package bench
 // site set that still proves a response bound) — and snapshots interrupt-point
 // counts, stream and Vir_SAVE bytes, the modeled worst-case response, and the
 // worst response actually measured under an adversarial preemption sweep.
-// Everything comes from the deterministic cycle model, so the gate compares
-// exactly; independent of any baseline it enforces the optimizer's contract:
-// the budget stream carries fewer sites and fewer bytes than the every-site
-// stream, and no measured response ever exceeds the proven bound.
+// Everything comes from the deterministic cycle model, so Gate compares the
+// file byte for byte; independent of any baseline, checkVI enforces the
+// optimizer's contract on every measurement: the budget stream carries fewer
+// sites and fewer bytes than the every-site stream, and no measured response
+// ever exceeds the proven bound.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
@@ -26,11 +24,6 @@ import (
 	"inca/internal/model"
 	"inca/internal/quant"
 )
-
-// VISchema is the snapshot format version. Bump it whenever the JSON layout,
-// the model set, or the budget scale changes; the gate then compares only
-// metrics present in both snapshots until the baseline is regenerated.
-const VISchema = 1
 
 // viBudgetScale is the VIBudget given to the optimizer, as a multiple of the
 // stream's minimal achievable (VIEvery) bound: loose enough that every DSLAM
@@ -50,7 +43,7 @@ type VIPlacement struct {
 
 	// Bound is the compiler-proven worst-case preemption response;
 	// MeasuredWorst is the worst response the adversarial sweep actually
-	// observed. The gate enforces MeasuredWorst <= Bound.
+	// observed. checkVI enforces MeasuredWorst <= Bound.
 	Bound         uint64 `json:"bound_cycles"`
 	MeasuredWorst uint64 `json:"measured_worst_cycles"`
 	Preemptions   int    `json:"preemptions"` // sweep preemptions measured
@@ -66,8 +59,6 @@ type VIModel struct {
 
 // VISnapshot is the checked-in placement baseline.
 type VISnapshot struct {
-	Schema      int       `json:"schema"`
-	GitRev      string    `json:"git_rev"`
 	Config      string    `json:"config"`
 	BudgetScale float64   `json:"budget_scale"`
 	Models      []VIModel `json:"models"`
@@ -86,7 +77,7 @@ func VIBench() (*VISnapshot, *Table, error) {
 		return nil, nil, err
 	}
 
-	snap := &VISnapshot{Schema: VISchema, Config: cfg.Name, BudgetScale: viBudgetScale}
+	snap := &VISnapshot{Config: cfg.Name, BudgetScale: viBudgetScale}
 	t := &Table{
 		ID: "VI",
 		Title: fmt.Sprintf("interrupt-point placement on the DSLAM model set (%s, budget %dx the minimal bound)",
@@ -125,7 +116,7 @@ func VIBench() (*VISnapshot, *Table, error) {
 	}
 
 	t.AddNote("measured = worst preemption response over a sweep probing just past every (strided) interrupt point")
-	t.AddNote("the gate enforces measured <= bound and budget points/bytes < every points/bytes, independent of the baseline")
+	t.AddNote("every measurement is checked for measured <= bound and budget points/bytes < every points/bytes, independent of the baseline")
 	return snap, t, nil
 }
 
@@ -241,51 +232,13 @@ func viWorstResponse(cfg accel.Config, victim, probe *isa.Program) (uint64, int,
 	return worst, preempts, nil
 }
 
-// WriteVI serialises a snapshot as indented JSON.
-func WriteVI(w io.Writer, s *VISnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadVI loads a snapshot from a baseline file.
-func ReadVI(path string) (*VISnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s VISnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &s, nil
-}
-
-// GateVI compares the current sweep against the baseline and returns one fail
-// line per regression beyond tol percent, plus informational notes. Like the
-// other gates it compares only metrics present in both snapshots: a schema
-// mismatch turns presence churn into notes, not failures. Independent of any
-// baseline, it enforces the placement optimizer's contract on the current
-// snapshot alone: every measured response within its proven bound, the proven
-// budget bound within the budget it was given, and the budget stream strictly
-// smaller — fewer interrupt points, fewer stream bytes, fewer Vir_SAVE
-// bytes — than the every-site stream.
-func GateVI(baseline, current *VISnapshot, tolPct float64) (fails, notes []string) {
-	crossSchema := baseline.Schema != current.Schema
-	if crossSchema {
-		notes = append(notes, fmt.Sprintf("schema mismatch: baseline v%d vs current v%d — comparing only metrics present in both (regenerate BENCH_vi.json to re-arm full gating)",
-			baseline.Schema, current.Schema))
-	}
-	presence := func(f string, a ...interface{}) {
-		if crossSchema {
-			notes = append(notes, fmt.Sprintf(f, a...))
-		} else {
-			fails = append(fails, fmt.Sprintf(f, a...))
-		}
-	}
-
-	// Baseline-independent contract.
-	for _, m := range current.Models {
+// checkVI is the vi suite's baseline-free contract, the placement optimizer's
+// promise: every measured response within its proven bound (over a
+// non-vacuous sweep), the proven budget bound within the budget it was given,
+// and the budget stream strictly smaller — fewer interrupt points, fewer
+// stream bytes, fewer Vir_SAVE bytes — than the every-site stream.
+func checkVI(s *VISnapshot) (fails []string) {
+	for _, m := range s.Models {
 		for _, pl := range []VIPlacement{m.Every, m.Budgeted} {
 			if pl.MeasuredWorst > pl.Bound {
 				fails = append(fails, fmt.Sprintf("%s/%s: measured worst response %d cycles exceeds the proven bound %d",
@@ -313,40 +266,5 @@ func GateVI(baseline, current *VISnapshot, tolPct float64) (fails, notes []strin
 				m.Name, m.Budgeted.VirSaveBytes, m.Every.VirSaveBytes))
 		}
 	}
-
-	// Regression vs the baseline: pruning quality (points kept) and the
-	// proven bound must not creep up beyond tolerance.
-	base := map[string]VIModel{}
-	for _, m := range baseline.Models {
-		base[m.Name] = m
-	}
-	seen := map[string]bool{}
-	rise := func(name, col string, was, now uint64) {
-		if was == 0 {
-			return
-		}
-		d := (float64(now) - float64(was)) / float64(was) * 100
-		if d > tolPct {
-			fails = append(fails, fmt.Sprintf("%s %s: %d -> %d (+%.1f%% > %.1f%% tolerance)",
-				name, col, was, now, d, tolPct))
-		}
-	}
-	for _, m := range current.Models {
-		b, ok := base[m.Name]
-		if !ok {
-			presence("%s: not in baseline (regenerate BENCH_vi.json)", m.Name)
-			continue
-		}
-		seen[m.Name] = true
-		rise(m.Name, "budget points", uint64(b.Budgeted.Points), uint64(m.Budgeted.Points))
-		rise(m.Name, "budget bound", b.Budgeted.Bound, m.Budgeted.Bound)
-		rise(m.Name, "budget stream bytes", b.Budgeted.StreamBytes, m.Budgeted.StreamBytes)
-		rise(m.Name, "every bound", b.Every.Bound, m.Every.Bound)
-	}
-	for _, m := range baseline.Models {
-		if !seen[m.Name] {
-			presence("%s: in baseline but not measured", m.Name)
-		}
-	}
-	return fails, notes
+	return fails
 }
