@@ -24,10 +24,13 @@ benchmark-smoke:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-# Datapath micro-benchmarks (MACs/s per layer shape, snapshot round trip)
-# plus the repo-level experiment benchmarks.
+# Datapath micro-benchmarks (MACs/s per layer shape, snapshot round trip),
+# the IAU's timing-only stepping cost (ns/instr, Mcycles/s: the in-module view
+# of the benchmark's preempt_mix and dslam_mission host numbers), plus the
+# repo-level experiment benchmarks.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/accel
+	$(GO) test -run xxx -bench 'BenchmarkIAUTimingOnly' -benchmem ./internal/iau
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalInference' .
 
 # Per-phase cost of one cold deploy (synthesize, compile, verify, encode,
@@ -115,8 +118,9 @@ progcheck:
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
 COVER_FLOOR ?= 76.0
-COVERPROFILE ?= cover.out
+COVERPROFILE ?= out/cover.out
 cover:
+	@mkdir -p $(dir $(COVERPROFILE))
 	$(GO) test ./... -count 1 -coverprofile=$(COVERPROFILE)
 	@total=$$($(GO) tool cover -func=$(COVERPROFILE) | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
@@ -126,8 +130,9 @@ cover:
 # Trace smoke: the seeded two-task preemption workload must produce a
 # Perfetto-loadable trace (WriteFiles re-parses it through the validator
 # before anything reaches disk) plus a metrics snapshot beside it.
-TRACEOUT ?= trace.json
+TRACEOUT ?= out/trace.json
 trace:
+	@mkdir -p $(dir $(TRACEOUT))
 	$(GO) run ./cmd/inca-bench -trace $(TRACEOUT) -trace-cap 4096
 	@test -s $(TRACEOUT) && test -s $(basename $(TRACEOUT)).metrics.json && \
 	  echo "trace smoke ok: $(TRACEOUT)"

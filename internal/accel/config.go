@@ -153,11 +153,17 @@ func (c Config) BytesPerCycle() float64 {
 
 // XferCycles returns the cycle cost of moving n bytes to/from DDR.
 func (c Config) XferCycles(n uint32) uint64 {
+	return xferCycles(n, c.BytesPerCycle(), uint64(c.XferSetupCycles))
+}
+
+// xferCycles is the transfer price: n bytes at bpc bytes per cycle plus the
+// burst setup. The engine calls it with both constants hoisted; it must stay
+// a division by that bpc (a reciprocal multiply is not bit-identical).
+func xferCycles(n uint32, bpc float64, setup uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
-	bpc := c.BytesPerCycle()
-	return uint64(float64(n)/bpc) + uint64(c.XferSetupCycles) + 1
+	return uint64(float64(n)/bpc) + setup + 1
 }
 
 // TotalBufferBytes is the on-chip cache volume a CPU-like interrupt spills.
@@ -189,23 +195,28 @@ func (c Config) InstrCycles(p *isa.Program, in isa.Instruction) uint64 {
 	case isa.OpLoadW, isa.OpLoadD, isa.OpSave, isa.OpVirSave, isa.OpVirLoadD:
 		return c.XferCycles(in.Len)
 	case isa.OpCalcI, isa.OpCalcF:
-		l := &p.Layers[in.Layer]
-		switch l.Op {
-		case isa.LayerConv:
-			// A fused-pool CALC covers Para_height pooled rows, i.e.
-			// FusedPool x the convolution rows of a plain CALC.
-			fp := l.FusedPool
-			if fp < 1 {
-				fp = 1
-			}
-			return uint64(l.ConvW()*l.KH*l.KW*fp) + uint64(c.CalcPipeCycles)
-		case isa.LayerPool:
-			return uint64(l.OutW*l.KH*l.KW) + uint64(c.CalcPipeCycles)
-		case isa.LayerAdd:
-			return uint64(l.OutW) + uint64(c.CalcPipeCycles)
-		}
-		return uint64(c.CalcPipeCycles)
+		return calcCycles(&p.Layers[in.Layer], c.CalcPipeCycles)
 	default:
 		return 0
 	}
+}
+
+// calcCycles is the price of one CALC of layer l. It depends on the layer
+// alone, so the engine keeps the current layer's instead of re-deriving it.
+func calcCycles(l *isa.LayerInfo, pipe int) uint64 {
+	switch l.Op {
+	case isa.LayerConv:
+		// A fused-pool CALC covers Para_height pooled rows, i.e.
+		// FusedPool x the convolution rows of a plain CALC.
+		fp := l.FusedPool
+		if fp < 1 {
+			fp = 1
+		}
+		return uint64(l.ConvW()*l.KH*l.KW*fp) + uint64(pipe)
+	case isa.LayerPool:
+		return uint64(l.OutW*l.KH*l.KW) + uint64(pipe)
+	case isa.LayerAdd:
+		return uint64(l.OutW) + uint64(pipe)
+	}
+	return uint64(pipe)
 }

@@ -42,6 +42,19 @@ type Engine struct {
 	xferCycles   uint64
 	hiddenCycles uint64 // transfer cycles hidden under compute
 
+	// Cycle-model constants hoisted from Cfg at construction (DESIGN.md
+	// §21). They feed the same xferCycles/calcCycles formulas Config's
+	// XferCycles and InstrCycles evaluate: one model, read twice.
+	bpc       float64 // Cfg.BytesPerCycle()
+	xferSetup uint64  // Cfg.XferSetupCycles
+	creditCap uint64  // Cfg.XferCycles(PrefetchBytes)
+	// calcPrice is the CALC price of layer calcLayer of calcProg, the layer
+	// of the last CALC (a layer's CALCs come in runs, so one entry is the
+	// whole cache). Host state only: Invalidate leaves it.
+	calcProg  *isa.Program
+	calcLayer int
+	calcPrice uint64
+
 	curProg  *isa.Program
 	curLayer int
 
@@ -88,6 +101,9 @@ type finalTile struct {
 // NewEngine returns an engine for the given configuration.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{Cfg: cfg, workers: resolveWorkers(cfg.Workers), useRef: forceReferenceConv}
+	e.bpc = cfg.BytesPerCycle()
+	e.xferSetup = uint64(cfg.XferSetupCycles)
+	e.creditCap = cfg.XferCycles(uint32(cfg.PrefetchBytes))
 	e.Invalidate()
 	return e
 }
@@ -236,21 +252,27 @@ func (e *Engine) SnapshotBalance() (live, free int) {
 // the functional write both omit it. The returned cycle count reflects the
 // reduced transfer.
 func (e *Engine) Exec(arena []byte, p *isa.Program, in isa.Instruction, skipBytes uint32) (uint64, error) {
-	length := in.Len
-	if in.Op == isa.OpSave || in.Op == isa.OpVirSave {
-		if skipBytes > length {
-			return 0, fmt.Errorf("accel: skip %d exceeds save length %d", skipBytes, length)
-		}
-		length -= skipBytes
-	}
+	return e.ExecRef(arena, p, &in, skipBytes)
+}
+
+// ExecRef is Exec on an instruction read in place (the IAU steps through
+// p.Instrs without copying each 28-byte record). in is not retained.
+func (e *Engine) ExecRef(arena []byte, p *isa.Program, in *isa.Instruction, skipBytes uint32) (uint64, error) {
 	var cycles uint64
 	switch in.Op {
 	case isa.OpLoadW, isa.OpLoadD, isa.OpSave, isa.OpVirSave, isa.OpVirLoadD:
-		cycles = e.Cfg.XferCycles(length)
+		length := in.Len
+		if in.Op == isa.OpSave || in.Op == isa.OpVirSave {
+			if skipBytes > length {
+				return 0, fmt.Errorf("accel: skip %d exceeds save length %d", skipBytes, length)
+			}
+			length -= skipBytes
+		}
+		cycles = xferCycles(length, e.bpc, e.xferSetup)
 		// Double-buffering hides transfer time under previously issued
 		// compute, down to the DMA setup floor.
 		if e.credit > 0 && cycles > 0 {
-			floor := uint64(e.Cfg.XferSetupCycles)
+			floor := e.xferSetup
 			hideable := uint64(0)
 			if cycles > floor {
 				hideable = cycles - floor
@@ -267,22 +289,23 @@ func (e *Engine) Exec(arena []byte, p *isa.Program, in isa.Instruction, skipByte
 			}
 		}
 		e.xferCycles += cycles
-	default:
-		cycles = e.Cfg.InstrCycles(p, in)
-		if in.Op == isa.OpCalcI || in.Op == isa.OpCalcF {
-			cap := e.Cfg.XferCycles(uint32(e.Cfg.PrefetchBytes))
-			e.credit += cycles
-			if e.credit > cap {
-				e.credit = cap
-			}
-			e.calcCycles += cycles
+	case isa.OpCalcI, isa.OpCalcF:
+		if p != e.calcProg || int(in.Layer) != e.calcLayer {
+			e.calcProg, e.calcLayer = p, int(in.Layer)
+			e.calcPrice = calcCycles(&p.Layers[in.Layer], e.Cfg.CalcPipeCycles)
 		}
+		cycles = e.calcPrice
+		e.credit += cycles
+		if e.credit > e.creditCap {
+			e.credit = e.creditCap
+		}
+		e.calcCycles += cycles
 	}
 	if arena == nil || in.Op == isa.OpEnd {
 		return cycles, nil
 	}
-	if err := e.execFunctional(arena, p, in, skipBytes); err != nil {
-		return cycles, fmt.Errorf("accel: %s: %w", in, err)
+	if err := e.execFunctional(arena, p, *in, skipBytes); err != nil {
+		return cycles, fmt.Errorf("accel: %s: %w", *in, err)
 	}
 	return cycles, nil
 }

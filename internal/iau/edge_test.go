@@ -11,7 +11,7 @@ import (
 	"inca/internal/quant"
 )
 
-func timingProg(t *testing.T, g *model.Network, cfg accel.Config, vi bool) *isa.Program {
+func timingProg(t testing.TB, g *model.Network, cfg accel.Config, vi bool) *isa.Program {
 	t.Helper()
 	q, err := quant.Synthesize(g, 1)
 	if err != nil {

@@ -308,7 +308,9 @@ type FaultStats struct {
 type Scheduler interface {
 	// PickReady chooses which ready slot to dispatch when the accelerator
 	// is free. ready is sorted ascending (static priority order); returning
-	// a slot not in ready falls back to ready[0].
+	// a slot not in ready falls back to ready[0]. Here and in Contend, ready
+	// is the IAU's own scratch buffer, valid only for the duration of the
+	// call: a scheduler must not retain it.
 	PickReady(u *IAU, ready []int) int
 	// Contend is consulted at every instruction boundary while a task runs
 	// and other slots have runnable work. Returning preempt=false keeps the
@@ -391,6 +393,7 @@ type IAU struct {
 	tables map[*isa.Program]*cost.Table
 
 	slots    [NumSlots]*task
+	ready    [NumSlots]int // readySlots' backing store
 	arrivals arrivalHeap
 	seq      int
 	running  int // slot currently executing, or -1
@@ -488,7 +491,9 @@ func (u *IAU) bestReady() int {
 }
 
 // Run advances the simulation until no work remains or the horizon cycle is
-// reached, whichever comes first.
+// reached, whichever comes first. Arbitration (admit, dispatch, contend) runs
+// only when a slot's state can change; in between, the running task executes
+// a stretch of instructions back to back (DESIGN.md §21).
 func (u *IAU) Run(horizon uint64) error {
 	for {
 		u.admit()
@@ -540,16 +545,37 @@ func (u *IAU) Run(horizon uint64) error {
 			}
 			continue
 		}
-		if err := u.execOne(u.slots[u.running]); err != nil {
-			return err
+		// Slot states now change only at an arrival, a completion or a kill
+		// (the last two clear u.running, and every callback that can submit
+		// fires from them). While the run is quiet — contend would answer
+		// "no" unasked — the task runs on to the next arrival unarbitrated.
+		// Static rule: the running slot is the best one. Scheduler: no other
+		// slot is runnable, since Contend must see every boundary where one is.
+		limit := horizon
+		if len(u.arrivals) > 0 && u.arrivals[0].cycle < limit {
+			limit = u.arrivals[0].cycle
+		}
+		quiet := best == u.running
+		if u.Sched != nil {
+			quiet = len(u.readySlots(u.running)) == 0
+		}
+		t := u.slots[u.running]
+		for {
+			if err := u.execOne(t); err != nil {
+				return err
+			}
+			if !quiet || u.running == -1 || u.Now >= limit {
+				break
+			}
 		}
 	}
 }
 
 // readySlots returns the runnable slots (Ready or Preempted) in static
-// priority order, excluding the given slot (-1 excludes none).
+// priority order, excluding the given slot (-1 excludes none). The result
+// aliases u.ready and is overwritten by the next call.
 func (u *IAU) readySlots(exclude int) []int {
-	var out []int
+	out := u.ready[:0]
 	for i, t := range u.slots {
 		if i == exclude {
 			continue
@@ -1168,8 +1194,7 @@ func (u *IAU) backupSpan(p *isa.Program, in isa.Instruction) (lo, hi int) {
 // execOne runs the next instruction of the running task.
 func (u *IAU) execOne(t *task) error {
 	t.fresh = false
-	ins := t.cur.Prog.Instrs
-	in := ins[t.pc]
+	in := &t.cur.Prog.Instrs[t.pc]
 	if in.Op == isa.OpEnd {
 		u.complete(t)
 		return nil
@@ -1177,7 +1202,9 @@ func (u *IAU) execOne(t *task) error {
 	if in.Op.Virtual() {
 		// Discarded by the IAU: costs only the fetch.
 		c := uint64(u.Cfg.FetchCycles)
-		u.Tracer.Span(trace.KindFetch, t.slot, u.Now, c, 0, in.Op.String())
+		if u.Tracer != nil {
+			u.Tracer.Span(trace.KindFetch, t.slot, u.Now, c, 0, in.Op.String())
+		}
 		u.Now += c
 		t.cur.FetchCycles += c
 		t.pc++
@@ -1188,7 +1215,7 @@ func (u *IAU) execOne(t *task) error {
 		skip = t.saveBytes
 	}
 	u.syncTrace()
-	c, err := u.Eng.Exec(t.cur.Arena, t.cur.Prog, in, skip)
+	c, err := u.Eng.ExecRef(t.cur.Arena, t.cur.Prog, in, skip)
 	if err != nil {
 		return fmt.Errorf("iau: slot %d pc %d: %w", t.slot, t.pc, err)
 	}

@@ -290,10 +290,16 @@ func (p *PolicyPredictive) fallbackMethod(u *iau.IAU) iau.Policy {
 	return p.methods[0]
 }
 
-// cold reports whether any of the given slots has an invalid estimate.
-func (p *PolicyPredictive) cold(slots ...int) bool {
-	for _, s := range slots {
-		if s < 0 || s >= iau.NumSlots || !p.slots[s].estValid {
+// cold reports whether slot first or any of rest has an invalid estimate.
+// It takes the two apart because Contend asks about (running, ready) at every
+// contended instruction boundary and must not build a slice to do so.
+func (p *PolicyPredictive) cold(first int, rest []int) bool {
+	cold := func(s int) bool { return s < 0 || s >= iau.NumSlots || !p.slots[s].estValid }
+	if cold(first) {
+		return true
+	}
+	for _, s := range rest {
+		if cold(s) {
 			return true
 		}
 	}
@@ -336,7 +342,7 @@ func (p *PolicyPredictive) PickReady(u *iau.IAU, ready []int) int {
 	if len(ready) == 0 {
 		return -1
 	}
-	if p.cold(ready...) {
+	if p.cold(ready[0], ready[1:]) {
 		return ready[0] // static: highest priority first
 	}
 	pick := p.pickCandidate(u, ready)
@@ -369,7 +375,7 @@ func (p *PolicyPredictive) Contend(u *iau.IAU, running int, ready []int) (int, b
 	if len(ready) == 0 {
 		return 0, false, iau.PolicyNone
 	}
-	if p.cold(append([]int{running}, ready...)...) {
+	if p.cold(running, ready) {
 		cand := ready[0]
 		if cand < running {
 			return cand, true, p.fallbackMethod(u)

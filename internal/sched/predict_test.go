@@ -8,6 +8,7 @@ import (
 
 	"inca/internal/accel"
 	"inca/internal/iau"
+	"inca/internal/isa"
 	"inca/internal/model"
 	"inca/internal/sched"
 	"inca/internal/trace"
@@ -249,5 +250,54 @@ func TestPredictiveEstimateMarks(t *testing.T) {
 	}
 	if histN != estimates {
 		t.Fatalf("estimate-error histogram observed %d, want %d", histN, estimates)
+	}
+}
+
+// TestPredictiveContendAllocatesNothing pins the contended path. On a warm
+// two-task predictive run parked mid-flight — slot 0 running, slot 1 ready, so
+// the IAU consults Contend at every instruction boundary — neither the
+// decision itself nor the IAU's walk to it (readySlots, contend) touches the
+// heap.
+func TestPredictiveContendAllocatesNothing(t *testing.T) {
+	cfg := accel.Small()
+	front := compileNet(t, cfg, mustResNet(t, 18, 3, 60, 80), true)
+	back := compileNet(t, cfg, model.NewSuperPoint(60, 80), true)
+	pol := sched.NewPredictive(cfg)
+	pol.Bind(0, front, 0, false)
+	pol.Bind(1, back, 0, false)
+	u := iau.New(cfg, iau.PolicyVI)
+	u.Sched = pol
+	for slot, p := range []*isa.Program{front, back} {
+		if err := u.Submit(slot, &iau.Request{Prog: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contended := func() bool {
+		return u.Registers(0).State == iau.Running && u.Registers(1).State == iau.Ready
+	}
+	horizon := uint64(20000)
+	if err := u.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if !contended() {
+		t.Fatalf("want slot 0 running over a ready slot 1, have %v / %v", u.Registers(0).State, u.Registers(1).State)
+	}
+
+	ready := []int{1}
+	if n := testing.AllocsPerRun(100, func() { pol.Contend(u, 0, ready) }); n != 0 {
+		t.Errorf("Contend allocates %v times per call, want 0", n)
+	}
+	pc := u.SlotPC(0)
+	if n := testing.AllocsPerRun(100, func() {
+		horizon += 500
+		if err := u.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a contended stretch of IAU.Run allocates %v times per 500 cycles, want 0", n)
+	}
+	if !contended() || u.SlotPC(0) <= pc {
+		t.Fatalf("the measured stretch was not contended progress (slot 0 pc %d -> %d, states %v / %v)",
+			pc, u.SlotPC(0), u.Registers(0).State, u.Registers(1).State)
 	}
 }

@@ -2,6 +2,8 @@ package verify
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -223,24 +225,20 @@ func checkTableAgainstWalks(cfg accel.Config, p *isa.Program) error {
 	return nil
 }
 
-// dslamPrograms compiles the paper's DSLAM task mix (the set inca-vet
-// -models dslam verifies) under both placement policies on the big config.
-func dslamPrograms(t *testing.T) []*isa.Program {
+// namedNet is a network with the stream-name prefix its programs carry.
+type namedNet struct {
+	name string
+	g    *model.Network
+}
+
+// compileBothPolicies compiles each network on the big config under VIEvery
+// and under VIBudget at four times the VIEvery bound (the pairing inca-vet
+// -models dslam and the benchmark's deploy_cold workload use).
+func compileBothPolicies(t *testing.T, nets []namedNet) []*isa.Program {
 	t.Helper()
 	cfg := accel.Big()
-	loop, err := model.NewResNet(18, 3, 60, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var progs []*isa.Program
-	for _, n := range []struct {
-		name string
-		g    *model.Network
-	}{
-		{"FE", model.NewSuperPoint(60, 80)},
-		{"MAP", model.NewSuperPoint(90, 120)},
-		{"LOOP", loop},
-	} {
+	for _, n := range nets {
 		q, err := quant.Synthesize(n.g, 21)
 		if err != nil {
 			t.Fatalf("%s: %v", n.name, err)
@@ -261,6 +259,21 @@ func dslamPrograms(t *testing.T) []*isa.Program {
 		progs = append(progs, every, budget)
 	}
 	return progs
+}
+
+// dslamPrograms compiles the paper's DSLAM task mix (the set inca-vet
+// -models dslam verifies) under both placement policies on the big config.
+func dslamPrograms(t *testing.T) []*isa.Program {
+	t.Helper()
+	loop, err := model.NewResNet(18, 3, 60, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compileBothPolicies(t, []namedNet{
+		{"FE", model.NewSuperPoint(60, 80)},
+		{"MAP", model.NewSuperPoint(90, 120)},
+		{"LOOP", loop},
+	})
 }
 
 // TestCostTableMatchesWalks: for every program of the deterministic fuzz
@@ -421,4 +434,110 @@ func TestPreemptCostEstimateLive(t *testing.T) {
 			stops, req.Preemptions, refined)
 	}
 	t.Logf("%d stops, %d preemptions, %d save-skip refinements", stops, req.Preemptions, refined)
+}
+
+// TestEnginePricesMatchConfig: accel.Engine prices instructions from
+// constants it hoists once at construction and a one-layer CALC cache
+// (DESIGN.md §21); internal/cost, the compiler and progcheck price them
+// through Config.InstrCycles and Config.XferCycles. One model, two readings:
+// on every instruction of the fuzz corpus, the DSLAM set and the rest of the
+// benchmark's deploy_cold set, and on transfer lengths around every power of
+// two, the readings are equal to the cycle — on the three stock
+// configurations and on 20 seeded random ones. (With the prefetch credit
+// drained, Exec's answer is the bare price.)
+func TestEnginePricesMatchConfig(t *testing.T) {
+	var progs []*isa.Program
+	for index := 0; len(progs) < wantCases; index++ {
+		if index >= 3*wantCases {
+			t.Fatalf("only %d/%d generated cases compiled after %d draws", len(progs), wantCases, index)
+		}
+		c := NewCase(masterSeed, index)
+		p, _, err := compileVictim(c, Configs()[c.CfgIdx], mix(c.Seed, c.Index)^0xDDC0FFEE)
+		if IsSkip(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("case %s: compile: %v", c, err)
+		}
+		progs = append(progs, p)
+	}
+	if !testing.Short() {
+		deep, err := model.NewResNet(101, 3, 96, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, dslamPrograms(t)...) // also deploy_cold's first three networks
+		progs = append(progs, compileBothPolicies(t, []namedNet{
+			{"resnet101", deep},
+			{"vgg16", model.NewVGG16(3, 96, 128)},
+			{"mobilenet", model.NewMobileNetV1(3, 96, 128)},
+		})...)
+	}
+
+	rng := rand.New(rand.NewSource(int64(masterSeed)))
+	lengths := []uint32{0, 1}
+	for k := 1; k <= 32; k++ {
+		for d := -1; d <= 1; d++ {
+			if n := int64(1)<<k + int64(d); n <= math.MaxUint32 {
+				lengths = append(lengths, uint32(n))
+			}
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		lengths = append(lengths, rng.Uint32()>>rng.Intn(32))
+	}
+
+	// Whole bytes-per-cycle values d with d·(1/d) != 1 in float64 (49, 98,
+	// 103, ...): dividing by one and multiplying by its reciprocal disagree on
+	// exact multiples, so a hoisted reciprocal would show on them.
+	var awkward []int
+	for d := 1; d < 1024; d++ {
+		if x := float64(d); x*(1/x) != 1 {
+			awkward = append(awkward, d)
+		}
+	}
+	configs := []accel.Config{accel.Big(), accel.Small(), accel.Serving()}
+	for i := 0; i < 20; i++ {
+		c := accel.Big()
+		c.Name = fmt.Sprintf("random-%d", i)
+		c.FreqMHz = 50 + rng.Intn(1000)
+		c.DDRBandwidthGBps = 0.05 + 40*rng.Float64()
+		if i%2 == 1 {
+			c.DDRBandwidthGBps = float64(awkward[rng.Intn(len(awkward))]*c.FreqMHz) / 1000
+		}
+		c.CalcPipeCycles = rng.Intn(64)
+		c.XferSetupCycles = rng.Intn(256)
+		c.PrefetchBytes = rng.Intn(2 << 20)
+		configs = append(configs, c)
+	}
+
+	instrs := 0
+	for _, cfg := range configs {
+		eng := accel.NewEngine(cfg) // one engine per config: the CALC cache must follow program changes
+		price := func(p *isa.Program, in isa.Instruction) uint64 {
+			eng.DrainPipeline()
+			c, err := eng.Exec(nil, p, in, 0)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", cfg.Name, in, err)
+			}
+			return c
+		}
+		for _, p := range progs {
+			for pc, in := range p.Instrs {
+				if got, want := price(p, in), cfg.InstrCycles(p, in); got != want {
+					t.Fatalf("%s: %s pc %d (%s): engine prices %d cycles, Config.InstrCycles %d", cfg.Name, p.Name, pc, in, got, want)
+				}
+			}
+			instrs += len(p.Instrs)
+		}
+		burst := max(1, uint32(math.Round(cfg.BytesPerCycle())))
+		for _, n := range lengths {
+			for _, n := range []uint32{n, n - n%burst} { // as drawn, and snapped to whole cycles
+				if got, want := price(&isa.Program{}, isa.Instruction{Op: isa.OpLoadD, Len: n}), cfg.XferCycles(n); got != want {
+					t.Fatalf("%s: transfer of %d bytes: engine prices %d cycles, Config.XferCycles %d", cfg.Name, n, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d programs, %d instruction prices and %d transfer lengths on each of %d configs", len(progs), instrs/len(configs), 2*len(lengths), len(configs))
 }
