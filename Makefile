@@ -71,7 +71,7 @@ bench-baseline:
 # full suites run race-free under `make test`).
 race:
 	$(GO) test -race -run 'TestDatapathDifferential|TestSnapshotRoundTrip' -count 1 ./internal/accel
-	$(GO) test -race -run 'TestTraceDeterministicAndConserved|TestMultiCoreMatchesSingleCoreReference|TestRunWithoutTracerMatchesTraced|TestPredictiveColdFallbackToStatic|TestPredictiveDecisionTraceDeterministic' -count 1 ./internal/sched
+	$(GO) test -race -run 'TestTraceDeterministicAndConserved|TestRunWithoutTracerMatchesTraced|TestPredictiveColdFallbackToStatic|TestPredictiveDecisionTraceDeterministic' -count 1 ./internal/sched
 	$(GO) test -race -run 'TestCameraFrameThroughAccelerator|TestRefineMerge|TestAlignKeyFramesRecoversTransform|TestOdometryTracksStraightLine' -count 1 ./internal/slam
 	$(GO) test -race -run 'TestClusterFaultFreeBitExact|TestClusterUnverifiableRejected|TestClusterChaosBitExactAndDeterministic' -count 1 ./internal/cluster
 	$(GO) test -race -run 'TestProgcheckMutations|TestProgcheckLinkedPrograms' -count 1 ./internal/verify
@@ -117,7 +117,7 @@ progcheck:
 
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
-COVER_FLOOR ?= 76.0
+COVER_FLOOR ?= 78.0
 COVERPROFILE ?= out/cover.out
 cover:
 	@mkdir -p $(dir $(COVERPROFILE))

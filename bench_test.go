@@ -147,15 +147,6 @@ func BenchmarkE12_Energy(b *testing.B) {
 	}
 }
 
-// BenchmarkE13_Migration — cross-core migration of preempted tasks.
-func BenchmarkE13_Migration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.E13Migration(bench.Quick); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks of the simulation primitives ------------------------
 
 // BenchmarkCompileResNet101 measures compiling the PR backbone (quick scale)

@@ -181,7 +181,6 @@ func runExperiments(exps string, scale bench.Scale) ([]*bench.Table, error) {
 		"E10": bench.E10Sensitivity,
 		"E11": bench.E11Schedulability,
 		"E12": bench.E12Energy,
-		"E13": bench.E13Migration,
 		"E14": bench.E14FaultRecovery,
 	}
 
@@ -192,7 +191,7 @@ func runExperiments(exps string, scale bench.Scale) ([]*bench.Table, error) {
 		if err != nil {
 			return tables, err
 		}
-		for _, id := range []string{"E8", "E9", "E10", "E11", "E12", "E13", "E14"} {
+		for _, id := range []string{"E8", "E9", "E10", "E11", "E12", "E14"} {
 			t, err := runners[id](scale)
 			if err != nil {
 				return tables, fmt.Errorf("%s: %v", id, err)

@@ -32,6 +32,7 @@ func TestRunCLI(t *testing.T) {
 		{name: "gate without suite", args: []string{"-gate", "../../BENCH_datapath.json"}, code: 1, stderr: "-snapshot and -gate need -suite"},
 		{name: "unknown scale", args: []string{"-scale", "huge"}, code: 1, stderr: `unknown -scale "huge"`},
 		{name: "unknown experiment", args: []string{"-e", "E99"}, code: 1, stderr: `unknown experiment "E99"`},
+		{name: "retired E13", args: []string{"-e", "E13"}, code: 1, stderr: `unknown experiment "E13"`},
 		{name: "removed -datapath", args: []string{"-datapath", "x.json"}, code: 1, stderr: "flag provided but not defined: -datapath"},
 		{name: "removed -cluster", args: []string{"-cluster", "x.json"}, code: 1, stderr: "flag provided but not defined: -cluster"},
 		{name: "removed -cluster-gate", args: []string{"-cluster-gate", "x.json"}, code: 1, stderr: "flag provided but not defined: -cluster-gate"},

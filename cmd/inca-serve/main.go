@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"inca/internal/accel"
@@ -29,26 +30,38 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, errw io.Writer) int {
+	fs := flag.NewFlagSet("inca-serve", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		engines    = flag.Int("engines", 4, "cluster size")
-		tasks      = flag.Int("tasks", 64, "requests in the arrival stream")
-		seed       = flag.Uint64("seed", 1, "master seed (workload and fault streams)")
-		hang       = flag.Float64("hang", 0, "per-attempt probability an inference hangs (watchdog kill)")
-		stall      = flag.Float64("stall", 0, "per-instruction transient stall probability")
-		corrupt    = flag.Float64("corrupt", 0, "per-preemption DDR backup corruption probability")
-		meanGap    = flag.Uint64("mean-gap", 0, "mean inter-arrival gap in cycles (0 = moderate overload)")
-		dlFactor   = flag.Float64("deadline-factor", 16, "deadline = factor x solo runtime for priority 0/1 tasks (0 = none)")
-		quarantine = flag.Int("quarantine-k", cluster.DefaultQuarantineAfter, "consecutive kills before an engine is quarantined")
-		maxMig     = flag.Int("max-migrations", cluster.DefaultMaxMigrations, "placements per task before it is shed")
-		maxQueue   = flag.Int("max-queue", cluster.DefaultMaxQueue, "dispatch backlog bound (admission control)")
-		functional = flag.Bool("functional", false, "run with real arenas and verify completions against the golden interpreter")
-		viBudgetUs = flag.Float64("vi-budget-us", 0, "compile served models with the minimal interrupt-point set proving this worst-case preemption response in microseconds (0 = a backup group at every site)")
-		dlCheck    = flag.Bool("deadline-check", false, "reject tasks at admission whose deadline cannot survive solo runtime plus the worst proven response bound in the mix")
-		jsonOut    = flag.String("json", "", "write the deterministic stats report to this file")
-		traceOut   = flag.String("trace", "", "write the cluster-level Perfetto trace (migrate/quarantine/readmit marks) here")
-		outcomes   = flag.Bool("outcomes", false, "print one line per task outcome")
+		engines    = fs.Int("engines", 4, "cluster size")
+		tasks      = fs.Int("tasks", 64, "requests in the arrival stream")
+		seed       = fs.Uint64("seed", 1, "master seed (workload and fault streams)")
+		hang       = fs.Float64("hang", 0, "per-attempt probability an inference hangs (watchdog kill)")
+		stall      = fs.Float64("stall", 0, "per-instruction transient stall probability")
+		corrupt    = fs.Float64("corrupt", 0, "per-preemption DDR backup corruption probability")
+		meanGap    = fs.Uint64("mean-gap", 0, "mean inter-arrival gap in cycles (0 = moderate overload)")
+		dlFactor   = fs.Float64("deadline-factor", 16, "deadline = factor x solo runtime for priority 0/1 tasks (0 = none)")
+		quarantine = fs.Int("quarantine-k", cluster.DefaultQuarantineAfter, "consecutive kills before an engine is quarantined")
+		maxMig     = fs.Int("max-migrations", cluster.DefaultMaxMigrations, "placements per task before it is shed")
+		maxQueue   = fs.Int("max-queue", cluster.DefaultMaxQueue, "dispatch backlog bound (admission control)")
+		functional = fs.Bool("functional", false, "run with real arenas and verify completions against the golden interpreter")
+		viBudgetUs = fs.Float64("vi-budget-us", 0, "compile served models with the minimal interrupt-point set proving this worst-case preemption response in microseconds (0 = a backup group at every site)")
+		dlCheck    = fs.Bool("deadline-check", false, "reject tasks at admission whose deadline cannot survive solo runtime plus the worst proven response bound in the mix")
+		jsonOut    = fs.String("json", "", "write the deterministic stats report to this file")
+		traceOut   = fs.String("trace", "", "write the cluster-level Perfetto trace (migrate/quarantine/readmit marks) here")
+		outcomes   = fs.Bool("outcomes", false, "print one line per task outcome")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 1
+	}
+	fail := func(format string, a ...interface{}) int {
+		fmt.Fprintf(errw, "inca-serve: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg := accel.Big()
 	cfg.ParaIn, cfg.ParaOut, cfg.ParaHeight = 8, 8, 4
@@ -62,7 +75,7 @@ func main() {
 		Functional: *functional, DeadlineFactor: *dlFactor, VI: vi,
 	})
 	if err != nil {
-		fatalf("workload: %v", err)
+		return fail("workload: %v", err)
 	}
 
 	var tr *trace.Tracer
@@ -82,22 +95,22 @@ func main() {
 		Tracer:          tr,
 	}, w.Tasks)
 	if err != nil {
-		fatalf("cluster: %v", err)
+		return fail("cluster: %v", err)
 	}
 
-	fmt.Print(res.Stats.String())
+	fmt.Fprint(stdout, res.Stats.String())
 	cps := float64(cfg.FreqMHz) * 1e6
-	fmt.Printf("goodput: %.1f inferences/s at %d MHz\n", res.Stats.Goodput(cps), cfg.FreqMHz)
+	fmt.Fprintf(stdout, "goodput: %.1f inferences/s at %d MHz\n", res.Stats.Goodput(cps), cfg.FreqMHz)
 
 	if *outcomes {
 		for i := range res.Outcomes {
 			o := &res.Outcomes[i]
 			switch {
 			case o.Completed:
-				fmt.Printf("  task %-3d %-16s done @%d on engine%d (latency %d, %d migrations, %d salvages)\n",
+				fmt.Fprintf(stdout, "  task %-3d %-16s done @%d on engine%d (latency %d, %d migrations, %d salvages)\n",
 					o.TaskID, o.Name, o.DoneCycle, o.Engine, o.Latency, o.Migrations, o.Salvaged)
 			default:
-				fmt.Printf("  task %-3d %-16s shed (%s) @%d after %d attempts\n",
+				fmt.Fprintf(stdout, "  task %-3d %-16s shed (%s) @%d after %d attempts\n",
 					o.TaskID, o.Name, o.Shed, o.DoneCycle, o.Attempts)
 			}
 		}
@@ -108,37 +121,36 @@ func main() {
 		for i := range res.Outcomes {
 			o := &res.Outcomes[i]
 			if o.Completed && !bytes.Equal(w.Tasks[o.TaskID].Arena, w.Golden[o.TaskID]) {
-				fmt.Fprintf(os.Stderr, "inca-serve: task %d (%s) output differs from golden\n", o.TaskID, o.Name)
+				fmt.Fprintf(errw, "inca-serve: task %d (%s) output differs from golden\n", o.TaskID, o.Name)
 				bad++
 			}
 		}
 		if bad > 0 {
-			fatalf("%d of %d completed inferences diverged from the golden interpreter", bad, res.Stats.Completed)
+			return fail("%d of %d completed inferences diverged from the golden interpreter", bad, res.Stats.Completed)
 		}
-		fmt.Printf("functional: %d completed inferences bit-exact vs golden\n", res.Stats.Completed)
+		fmt.Fprintf(stdout, "functional: %d completed inferences bit-exact vs golden\n", res.Stats.Completed)
 	}
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
 		if err != nil {
-			fatalf("create %s: %v", *jsonOut, err)
+			return fail("create %s: %v", *jsonOut, err)
 		}
-		if err := res.Stats.WriteJSON(f); err != nil {
-			fatalf("write %s: %v", *jsonOut, err)
+		err = res.Stats.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *jsonOut)
+		if err != nil {
+			return fail("write %s: %v", *jsonOut, err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 	}
 	if *traceOut != "" {
 		if err := trace.WriteFiles(tr, *traceOut, "inca-serve"); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-		fmt.Printf("wrote %s (%d events, %d dropped) and %s\n",
+		fmt.Fprintf(stdout, "wrote %s (%d events, %d dropped) and %s\n",
 			*traceOut, len(tr.Events()), tr.Dropped(), trace.MetricsPath(*traceOut))
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "inca-serve: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

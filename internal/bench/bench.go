@@ -10,6 +10,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"inca/internal/accel"
+	"inca/internal/compiler"
+	"inca/internal/isa"
+	"inca/internal/model"
+	"inca/internal/quant"
 )
 
 // Table is a formatted experiment result.
@@ -119,4 +125,17 @@ func (s Scale) inputSize() (h, w int) {
 		return 480, 640
 	}
 	return 120, 160
+}
+
+// compileNet synthesizes g's weights from seed and lowers the network for
+// cfg under the given interrupt-point placement: the one way an experiment
+// turns a model into an instruction stream.
+func compileNet(cfg accel.Config, g *model.Network, vi compiler.VIPolicy, seed uint64) (*isa.Program, error) {
+	q, err := quant.Synthesize(g, seed)
+	if err != nil {
+		return nil, err
+	}
+	opt := cfg.CompilerOptions()
+	opt.VI = vi
+	return compiler.Compile(q, opt)
 }

@@ -9,7 +9,6 @@ import (
 	"inca/internal/interrupt"
 	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 )
 
 // compileVictim builds the PR network (GeM's ResNet-101 backbone) as an
@@ -20,13 +19,7 @@ func compileVictim(cfg accel.Config, scale Scale) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := quant.Synthesize(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	opt := cfg.CompilerOptions()
-	opt.VI = compiler.VIEvery{}
-	return compiler.Compile(q, opt)
+	return compileNet(cfg, g, compiler.VIEvery{}, 1)
 }
 
 // samplePositions draws n deterministic interrupt request cycles across the

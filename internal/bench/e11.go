@@ -7,9 +7,7 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 	"inca/internal/sched"
 )
 
@@ -26,24 +24,11 @@ func E11Schedulability(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(g *model.Network, vi bool) (*compiledNet, error) {
-		q, err := quant.Synthesize(g, 1)
-		if err != nil {
-			return nil, err
-		}
-		opt := cfg.CompilerOptions()
-		opt.VI = compiler.VIIf(vi)
-		p, err := compiler.Compile(q, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &compiledNet{g: g, p: p}, nil
-	}
-	fe, err := mk(feNet, false)
+	fe, err := compileNet(cfg, feNet, compiler.VINone{}, 1)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := mk(prNet, true)
+	pr, err := compileNet(cfg, prNet, compiler.VIEvery{}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -55,11 +40,11 @@ func E11Schedulability(scale Scale) (*Table, error) {
 			"WCRT(ms)", "meets 50ms", "min deadline(ms)"},
 	}
 	for _, pol := range []iau.Policy{iau.PolicyNone, iau.PolicyCPULike, iau.PolicyLayerByLayer, iau.PolicyVI} {
-		feM, err := sched.NewTaskModel(cfg, "FE", 0, fe.p, pol, 50*time.Millisecond, 50*time.Millisecond)
+		feM, err := sched.NewTaskModel(cfg, "FE", 0, fe, pol, 50*time.Millisecond, 50*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
-		prM, err := sched.NewTaskModel(cfg, "PR", 1, pr.p, pol, 0, 0)
+		prM, err := sched.NewTaskModel(cfg, "PR", 1, pr, pol, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -83,9 +68,4 @@ func E11Schedulability(scale Scale) (*Table, error) {
 	t.AddNote("WCRT = blocking from the PR task + FE cost; the tightest promisable FE deadline equals the WCRT")
 	t.AddNote("validated against simulation in internal/sched's RTA tests (analysis upper-bounds every observed response)")
 	return t, nil
-}
-
-type compiledNet struct {
-	g *model.Network
-	p *isa.Program
 }

@@ -8,9 +8,7 @@ import (
 	"inca/internal/compiler"
 	"inca/internal/fault"
 	"inca/internal/iau"
-	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 	"inca/internal/sched"
 )
 
@@ -23,16 +21,7 @@ import (
 func E14FaultRecovery(scale Scale) (*Table, error) {
 	cfg := accel.Big()
 	h, w := scale.inputSize()
-	mk := func(g *model.Network, vi bool, seed uint64) (*isa.Program, error) {
-		q, err := quant.Synthesize(g, seed)
-		if err != nil {
-			return nil, err
-		}
-		opt := cfg.CompilerOptions()
-		opt.VI = compiler.VIIf(vi)
-		return compiler.Compile(q, opt)
-	}
-	fe, err := mk(model.NewSuperPoint(h*3/4, w*3/4), false, 1)
+	fe, err := compileNet(cfg, model.NewSuperPoint(h*3/4, w*3/4), compiler.VINone{}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +29,7 @@ func E14FaultRecovery(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := mk(gem, true, 2)
+	pr, err := compileNet(cfg, gem, compiler.VIEvery{}, 2)
 	if err != nil {
 		return nil, err
 	}

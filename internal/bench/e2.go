@@ -8,7 +8,6 @@ import (
 	"inca/internal/iau"
 	"inca/internal/interrupt"
 	"inca/internal/model"
-	"inca/internal/quant"
 )
 
 // E2NetworkSweep reproduces Fig. 5(b): average and worst interrupt response
@@ -75,13 +74,7 @@ func E2NetworkSweep(scale Scale) (*Table, error) {
 // e2Measure runs end-to-end latency probes on the simulator: mean response
 // latency of both methods over 4 sampled positions.
 func e2Measure(cfg accel.Config, g *model.Network) (layerUs, viUs float64, err error) {
-	q, err := quant.Synthesize(g, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	opt := cfg.CompilerOptions()
-	opt.VI = compiler.VIEvery{}
-	p, err := compiler.Compile(q, opt)
+	p, err := compileNet(cfg, g, compiler.VIEvery{}, 1)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -8,7 +8,6 @@ import (
 	"inca/internal/iau"
 	"inca/internal/interrupt"
 	"inca/internal/model"
-	"inca/internal/quant"
 )
 
 // E4TheoryCheck validates Eq. (1) on the paper's worked example (§4.3): a
@@ -37,13 +36,7 @@ func E4TheoryCheck(scale Scale) (*Table, error) {
 		cur = rep.Conv(fmt.Sprintf("conv%d", i), cur, 48, 3, 1, 1, true)
 	}
 	rep.Conv("convLast", cur, 32, 3, 1, 1, false)
-	q, err := quant.Synthesize(rep, 5)
-	if err != nil {
-		return nil, err
-	}
-	opt := cfg.CompilerOptions()
-	opt.VI = compiler.VIEvery{}
-	victim, err := compiler.Compile(q, opt)
+	victim, err := compileNet(cfg, rep, compiler.VIEvery{}, 5)
 	if err != nil {
 		return nil, err
 	}

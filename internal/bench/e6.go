@@ -7,9 +7,7 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 	"inca/internal/sched"
 )
 
@@ -35,15 +33,6 @@ func E6DSLAMScheduling(scale Scale) (*E6Result, error) {
 		horizon = 10 * time.Second
 	}
 
-	compileFor := func(g *model.Network, vi bool) (*isa.Program, error) {
-		q, err := quant.Synthesize(g, 9)
-		if err != nil {
-			return nil, err
-		}
-		opt := cfg.CompilerOptions()
-		opt.VI = compiler.VIIf(vi)
-		return compiler.Compile(q, opt)
-	}
 	gem, err := model.NewGeM(3, h, w)
 	if err != nil {
 		return nil, err
@@ -53,15 +42,15 @@ func E6DSLAMScheduling(scale Scale) (*E6Result, error) {
 	// grayscale input (3/4 linear scale), which reproduces the paper's
 	// observed cadence: FE holds its 50 ms deadline and PR completes every
 	// 7-10 camera frames.
-	fe, err := compileFor(model.NewSuperPoint(h*3/4, w*3/4), false)
+	fe, err := compileNet(cfg, model.NewSuperPoint(h*3/4, w*3/4), compiler.VINone{}, 9)
 	if err != nil {
 		return nil, err
 	}
-	prVI, err := compileFor(gem, true)
+	prVI, err := compileNet(cfg, gem, compiler.VIEvery{}, 9)
 	if err != nil {
 		return nil, err
 	}
-	prPlain, err := compileFor(gem, false)
+	prPlain, err := compileNet(cfg, gem, compiler.VINone{}, 9)
 	if err != nil {
 		return nil, err
 	}

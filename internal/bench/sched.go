@@ -18,8 +18,8 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
+	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 	"inca/internal/sched"
 )
 
@@ -103,19 +103,13 @@ func SchedBench() (*SchedSnapshot, *Table, error) {
 	cfg := accel.Small()
 	tasks := schedBenchTasks()
 
-	progs := make([]*compiledNet, len(tasks))
+	progs := make([]*isa.Program, len(tasks))
 	for i, tk := range tasks {
-		q, err := quant.Synthesize(tk.net, 21)
+		p, err := compileNet(cfg, tk.net, compiler.VIEvery{}, 21)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sched bench %s: %v", tk.name, err)
 		}
-		opt := cfg.CompilerOptions()
-		opt.VI = compiler.VIEvery{}
-		p, err := compiler.Compile(q, opt)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sched bench %s: %v", tk.name, err)
-		}
-		progs[i] = &compiledNet{g: tk.net, p: p}
+		progs[i] = p
 	}
 
 	snap := &SchedSnapshot{Config: cfg.Name, HorizonMS: int(schedBenchHorizon / time.Millisecond)}
@@ -145,7 +139,7 @@ func SchedBench() (*SchedSnapshot, *Table, error) {
 		specs := make([]sched.TaskSpec, len(tasks))
 		for i, tk := range tasks {
 			specs[i] = sched.TaskSpec{
-				Name: tk.name, Slot: sc.slots[i], Prog: progs[i].p,
+				Name: tk.name, Slot: sc.slots[i], Prog: progs[i],
 				Period: tk.period, Deadline: tk.deadline, DropIfBusy: tk.dropBusy,
 			}
 		}
@@ -203,10 +197,10 @@ func SchedBench() (*SchedSnapshot, *Table, error) {
 
 // schedRTA runs response-time analysis for the deadline tasks of one slot
 // assignment and returns (feasible, analyzed).
-func schedRTA(cfg accel.Config, tasks []schedTask, progs []*compiledNet, slots []int) (int, int, error) {
+func schedRTA(cfg accel.Config, tasks []schedTask, progs []*isa.Program, slots []int) (int, int, error) {
 	models := make([]sched.TaskModel, len(tasks))
 	for i, tk := range tasks {
-		m, err := sched.NewTaskModel(cfg, tk.name, slots[i], progs[i].p, iau.PolicyVI, tk.period, tk.deadline)
+		m, err := sched.NewTaskModel(cfg, tk.name, slots[i], progs[i], iau.PolicyVI, tk.period, tk.deadline)
 		if err != nil {
 			return 0, 0, err
 		}

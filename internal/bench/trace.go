@@ -6,9 +6,7 @@ import (
 
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 	"inca/internal/sched"
 	"inca/internal/trace"
 
@@ -29,16 +27,7 @@ func TraceRun(scale Scale, capacity int) (*trace.Tracer, *Table, error) {
 		horizon = 4 * time.Second
 	}
 
-	compileFor := func(g *model.Network, vi bool) (*isa.Program, error) {
-		q, err := quant.Synthesize(g, 9)
-		if err != nil {
-			return nil, err
-		}
-		opt := cfg.CompilerOptions()
-		opt.VI = compiler.VIIf(vi)
-		return compiler.Compile(q, opt)
-	}
-	fe, err := compileFor(model.NewSuperPoint(h*3/4, w*3/4), false)
+	fe, err := compileNet(cfg, model.NewSuperPoint(h*3/4, w*3/4), compiler.VINone{}, 9)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -46,7 +35,7 @@ func TraceRun(scale Scale, capacity int) (*trace.Tracer, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pr, err := compileFor(gem, true)
+	pr, err := compileNet(cfg, gem, compiler.VIEvery{}, 9)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,7 +22,6 @@ import (
 	"inca/internal/iau"
 	"inca/internal/isa"
 	"inca/internal/model"
-	"inca/internal/quant"
 )
 
 // viBudgetScale is the VIBudget given to the optimizer, as a multiple of the
@@ -122,13 +121,7 @@ func VIBench() (*VISnapshot, *Table, error) {
 
 // viCompile lowers one DSLAM net under the given placement policy.
 func viCompile(cfg accel.Config, name string, net *model.Network, vi compiler.VIPolicy) (*isa.Program, error) {
-	q, err := quant.Synthesize(net, 21)
-	if err != nil {
-		return nil, fmt.Errorf("vi bench %s: %v", name, err)
-	}
-	opt := cfg.CompilerOptions()
-	opt.VI = vi
-	p, err := compiler.Compile(q, opt)
+	p, err := compileNet(cfg, net, vi, 21)
 	if err != nil {
 		return nil, fmt.Errorf("vi bench %s (%s): %v", name, vi, err)
 	}
@@ -158,34 +151,13 @@ func viMeasure(cfg accel.Config, p, probe *isa.Program, policy string) (VIPlacem
 	return pl, nil
 }
 
-// viSoloStarts replays the stream's uninterrupted IAU timing and returns each
-// instruction's start cycle plus the completion cycle.
-func viSoloStarts(cfg accel.Config, p *isa.Program) ([]uint64, uint64) {
-	eng := accel.NewEngine(cfg)
-	defer eng.Close()
-	starts := make([]uint64, len(p.Instrs))
-	var now uint64
-	for i, in := range p.Instrs {
-		starts[i] = now
-		if in.Op == isa.OpEnd {
-			break
-		}
-		if in.Op.Virtual() {
-			now += uint64(cfg.FetchCycles)
-			continue
-		}
-		c, _ := eng.Exec(nil, p, in, 0)
-		now += c
-	}
-	return starts, now
-}
-
 // viWorstResponse sweeps adversarial probe submissions over the victim
 // stream — one just past every (strided) interrupt point, the worst moment
 // for that segment, plus evenly spaced fill-ins — and returns the worst
 // preemption response observed and the number of preemptions measured.
 func viWorstResponse(cfg accel.Config, victim, probe *isa.Program) (uint64, int, error) {
-	starts, soloTotal := viSoloStarts(cfg, victim)
+	starts := make([]uint64, len(victim.Instrs))
+	soloTotal := accel.SoloReplay(cfg, victim, starts)
 	pts := victim.InterruptPoints()
 	var submits []uint64
 	if len(pts) > 0 {

@@ -281,21 +281,7 @@ type Result struct {
 // SoloCycles returns a program's uninterrupted runtime on cfg (timing-only
 // replay, no arena) — the feasibility estimate admission control uses.
 func SoloCycles(cfg accel.Config, p *isa.Program) uint64 {
-	eng := accel.NewEngine(cfg)
-	defer eng.Close()
-	var now uint64
-	for _, in := range p.Instrs {
-		if in.Op == isa.OpEnd {
-			break
-		}
-		if in.Op.Virtual() {
-			now += uint64(cfg.FetchCycles)
-			continue
-		}
-		c, _ := eng.Exec(nil, p, in, 0)
-		now += c
-	}
-	return now
+	return accel.SoloReplay(cfg, p, nil)
 }
 
 // HangRatePerAttempt converts a per-inference hang probability q ("5% of
@@ -337,11 +323,22 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	if err := cfg.Accel.Validate(); err != nil {
 		return nil, err
 	}
+	// The outcome and deadline ledgers are id-indexed: a shared id would
+	// silently merge two tasks' records.
+	seen := make([]bool, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
 		if t.ID < 0 || t.ID >= len(tasks) {
 			return nil, fmt.Errorf("cluster: task %q id %d out of [0,%d)", t.Name, t.ID, len(tasks))
 		}
+		if seen[t.ID] {
+			first := 0
+			for tasks[first].ID != t.ID {
+				first++
+			}
+			return nil, fmt.Errorf("cluster: tasks %q and %q share id %d", tasks[first].Name, t.Name, t.ID)
+		}
+		seen[t.ID] = true
 		if t.Prog == nil {
 			return nil, fmt.Errorf("cluster: task %q has no program", t.Name)
 		}

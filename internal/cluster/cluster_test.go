@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 
 	"inca/internal/accel"
@@ -304,5 +306,93 @@ func TestClusterScalesWithEngines(t *testing.T) {
 	p99one, p99four := res1.Stats.Latency.Quantile(0.99), res4.Stats.Latency.Quantile(0.99)
 	if p99four > p99one {
 		t.Errorf("4-engine p99 %d worse than 1-engine %d", p99four, p99one)
+	}
+}
+
+// TestClusterRunRejectsBadArgs: Run validates its inputs before any engine is
+// built. Task ids index the outcome and deadline ledgers, so two tasks sharing
+// one must be refused by name rather than silently merged.
+func TestClusterRunRejectsBadArgs(t *testing.T) {
+	cfg := testAccel()
+	w, err := NewWorkload(cfg, WorkloadConfig{Tasks: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name    string
+		engines int
+		mutate  func(ts []Task)
+		want    string
+	}{
+		{name: "no engines", engines: 0, want: "need at least one engine"},
+		{name: "id out of range", engines: 1, mutate: func(ts []Task) { ts[2].ID = 3 }, want: `id 3 out of [0,3)`},
+		{name: "duplicate id", engines: 1, mutate: func(ts []Task) { ts[2].ID = 0 },
+			want: `tasks "` + w.Tasks[0].Name + `" and "` + w.Tasks[2].Name + `" share id 0`},
+		{name: "no program", engines: 1, mutate: func(ts []Task) { ts[1].Prog = nil }, want: "has no program"},
+		{name: "priority out of range", engines: 1, mutate: func(ts []Task) { ts[1].Priority = iau.NumSlots }, want: "priority 4 out of [0,4)"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			tasks := append([]Task(nil), w.Tasks...)
+			if tc.mutate != nil {
+				tc.mutate(tasks)
+			}
+			res, err := Run(Config{Engines: tc.engines, Accel: cfg, Policy: iau.PolicyVI}, tasks)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("rejected run returned a result")
+			}
+		})
+	}
+}
+
+// TestSoloCyclesIsTheIAUsSoloRun: the admission estimate is the one engine
+// replay (accel.SoloReplay) — it ends on the cycle a lone IAU run of the
+// stream ends on, recording per-instruction starts does not move it, and
+// without a starts column it allocates nothing sized by the stream.
+func TestSoloCyclesIsTheIAUsSoloRun(t *testing.T) {
+	cfg := testAccel()
+	w, err := NewWorkload(cfg, WorkloadConfig{Tasks: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := make(map[int]uint64) // bytes allocated by SoloCycles, by stream length
+	for i, p := range w.Progs {
+		u := iau.New(cfg, iau.PolicyVI)
+		if err := u.Submit(1, &iau.Request{Label: "solo", Prog: p}); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		u.Eng.Close()
+		got := SoloCycles(cfg, p)
+		if got != u.Now {
+			t.Errorf("prog %d: SoloCycles %d, a lone IAU run ends at %d", i, got, u.Now)
+		}
+		starts := make([]uint64, len(p.Instrs))
+		if total := accel.SoloReplay(cfg, p, starts); total != got {
+			t.Errorf("prog %d: recording starts moved the total: %d vs %d", i, total, got)
+		}
+		for j := 1; j < len(starts) && p.Instrs[j-1].Op != isa.OpEnd; j++ {
+			if starts[j] < starts[j-1] {
+				t.Fatalf("prog %d: start cycles go backwards at instruction %d", i, j)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		SoloCycles(cfg, p)
+		runtime.ReadMemStats(&after)
+		allocated[len(p.Instrs)] = after.TotalAlloc - before.TotalAlloc
+	}
+	if len(allocated) < 2 {
+		t.Fatalf("need programs of different lengths, got %v", allocated)
+	}
+	for n, b := range allocated {
+		if b != allocated[len(w.Progs[0].Instrs)] {
+			t.Errorf("SoloCycles allocation depends on stream length (%d instructions: %d B): %v", n, b, allocated)
+		}
 	}
 }

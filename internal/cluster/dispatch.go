@@ -11,10 +11,10 @@ import (
 
 // installCallbacks wires one engine's IAU into the dispatcher. Completion
 // and preemption are handled inline (the IAU callback contract allows
-// submitting to and running OTHER engines from a callback, mirroring
-// sched.RunMultiMigrate); watchdog failures are only recorded here and
-// processed at top level by processFails, because the salvage-migration
-// path may need to advance the destination engine's clock.
+// submitting to and running OTHER engines from a callback); watchdog
+// failures are only recorded here and processed at top level by
+// processFails, because the salvage-migration path may need to advance the
+// destination engine's clock.
 func (c *cluster) installCallbacks(e *engine) {
 	e.u.OnComplete = func(comp iau.Completion) {
 		ts := c.taskOf[comp.Req]

@@ -121,15 +121,8 @@ func (rt *Runtime) AttachTracer(tr *trace.Tracer) {
 // exhausted the caller's failure callback (if any) fires so it can shed
 // the iteration instead of waiting forever.
 func (rt *Runtime) onFail(c iau.Completion, failErr error) {
-	backoff := rt.Cfg.SecondsToCycles(rt.RetryBackoff.Seconds())
-	if c.Req.Retries < rt.MaxRetries {
-		at := rt.U.Now + uint64(c.Req.Retries+1)*backoff
-		if err := rt.U.Resubmit(c.Slot, c.Req, at); err == nil {
-			// Arg carries the attempt index about to run, mirroring sched's
-			// retry marks so per-slot retry ledgers read uniformly.
-			rt.U.Tracer.Mark(trace.KindRetry, c.Slot, rt.U.Now, uint64(c.Req.Retries+1), c.Req.Label)
-			return // completion callback stays registered for the retry
-		}
+	if rt.U.RetryFailed(c, rt.MaxRetries, rt.Cfg.SecondsToCycles(rt.RetryBackoff.Seconds())) {
+		return // completion callback stays registered for the retry
 	}
 	cb := rt.failbacks[c.Req]
 	delete(rt.failbacks, c.Req)

@@ -9,6 +9,7 @@ import (
 	"inca/internal/iau"
 	"inca/internal/model"
 	"inca/internal/tensor"
+	"inca/internal/trace"
 )
 
 // TestCorruptRestoreRecoversBitExact is the arena-level differential proof:
@@ -354,5 +355,64 @@ func TestSubmitAtBusySlotQueues(t *testing.T) {
 	if len(u.Completions) != 2 ||
 		u.Completions[0].Req != first || u.Completions[1].Req != second {
 		t.Fatalf("completions out of order: %+v", u.Completions)
+	}
+}
+
+// TestRetryFailedLadder pins the slot-level retry step sched.Run and
+// core.Runtime share: every watchdog kill inside the budget re-enqueues the
+// same request k backoffs past the kill (k = the retry about to run) and
+// leaves a KindRetry mark whose arg is the attempt index about to run; the
+// kill that exhausts the budget re-enqueues nothing and marks nothing.
+func TestRetryFailedLadder(t *testing.T) {
+	cfg := accel.Big()
+	const maxRetries, backoff = 2, 100_000 // backoff well over the watchdog, so a skipped wait shows
+	u := iau.New(cfg, iau.PolicyVI)
+	tr := trace.New(1 << 12)
+	u.AttachTracer(tr)
+	u.Faults = fault.New(1)
+	u.Faults.SetRate(fault.SiteHang, 1.0) // every attempt dies on its first instruction
+	u.WatchdogCycles = 10_000
+
+	type kill struct {
+		now     uint64
+		retried bool
+	}
+	var kills []kill
+	u.OnFail = func(c iau.Completion, _ error) {
+		kills = append(kills, kill{now: u.Now, retried: u.RetryFailed(c, maxRetries, backoff)})
+	}
+	req := &iau.Request{Label: "hung", Prog: timingProg(t, model.NewTinyCNN(3, 12, 12), cfg, true)}
+	if err := u.Submit(1, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(kills) != maxRetries+1 || req.Retries != maxRetries || !req.Failed {
+		t.Fatalf("%d kills, %d retries, failed=%v; want %d kills, %d retries, failed", len(kills), req.Retries, req.Failed, maxRetries+1, maxRetries)
+	}
+	var marks []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindRetry {
+			marks = append(marks, e)
+		}
+	}
+	if len(marks) != maxRetries {
+		t.Fatalf("%d retry marks, want %d", len(marks), maxRetries)
+	}
+	for i, k := range kills {
+		if k.retried != (i < maxRetries) {
+			t.Errorf("kill %d: retried=%v", i, k.retried)
+		}
+		if !k.retried {
+			continue
+		}
+		if due := k.now + uint64(i+1)*backoff; kills[i+1].now < due {
+			t.Errorf("retry %d died at %d, before its %d-backoff wait ended at %d", i+1, kills[i+1].now, i+1, due)
+		}
+		if m := marks[i]; m.Cycle != k.now || m.Slot != 1 || m.Arg != uint64(i+2) || m.Label != "hung" {
+			t.Errorf("retry mark %d = %+v, want cycle %d slot 1 arg %d label hung", i, m, k.now, i+2)
+		}
 	}
 }

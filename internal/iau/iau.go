@@ -1346,6 +1346,25 @@ func (u *IAU) Resubmit(slot int, req *Request, cycle uint64) error {
 	return nil
 }
 
+// RetryFailed is the slot-level retry step for a watchdog-killed request:
+// while the request has used fewer than maxRetries retries it is resubmitted
+// on its slot after a linear backoff (retry k waits k backoffs past Now), and
+// a KindRetry mark records the attempt index about to run (1 = the first
+// execution) — distinct from cluster-level KindMigrate marks, whose arg is the
+// destination engine. It reports whether the request was re-enqueued; when it
+// was not, the caller owns shedding it.
+func (u *IAU) RetryFailed(c Completion, maxRetries int, backoff uint64) bool {
+	if c.Req.Retries >= maxRetries {
+		return false
+	}
+	at := u.Now + uint64(c.Req.Retries+1)*backoff
+	if err := u.Resubmit(c.Slot, c.Req, at); err != nil {
+		return false
+	}
+	u.Tracer.Mark(trace.KindRetry, c.Slot, u.Now, uint64(c.Req.Retries+1), c.Req.Label)
+	return true
+}
+
 // WatchdogBound returns a per-instruction cycle bound that no legitimate
 // instruction of the given programs can exceed: twice the largest single
 // modelled instruction cost (MAC burst or full-length transfer). Armed as

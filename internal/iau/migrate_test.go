@@ -1,70 +1,26 @@
-package sched_test
+package iau_test
 
 import (
 	"testing"
-	"time"
 
 	"inca/internal/accel"
 	"inca/internal/iau"
 	"inca/internal/model"
-	"inca/internal/sched"
+	"inca/internal/tensor"
 )
 
-// migrationSpecs: FE and PR share (pinned) core 0; core 1 is idle except for
-// a light periodic task. Without migration, PR waits behind every FE burst
-// even though core 1 sits idle.
-func migrationSpecs(t *testing.T, cfg accel.Config) []sched.TaskSpec {
-	fe := compileNet(t, cfg, model.NewSuperPoint(90, 120), false)
-	pr := compileNet(t, cfg, mustResNet(t, 34, 3, 120, 160), true)
-	light := compileNet(t, cfg, model.NewTinyCNN(3, 32, 40), false)
-	core0, core1 := 0, 1
-	return []sched.TaskSpec{
-		{Name: "FE", Slot: 0, Prog: fe, Period: 50 * time.Millisecond, Deadline: 50 * time.Millisecond, PinCore: &core0},
-		{Name: "PR", Slot: 1, Prog: pr, Continuous: true, PinCore: &core0, Migratable: true},
-		{Name: "beacon", Slot: 2, Prog: light, Period: 30 * time.Millisecond, PinCore: &core1},
-	}
-}
-
-// TestMigrationImprovesBackgroundThroughput: letting the preempted PR hop to
-// the idle core must complete more PR inferences without hurting FE.
-func TestMigrationImprovesBackgroundThroughput(t *testing.T) {
-	cfg := accel.Big()
-	specs := migrationSpecs(t, cfg)
-	still, err := sched.RunMultiMigrate(cfg, iau.PolicyVI, specs, 2*time.Second, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := sched.RunMultiMigrate(cfg, iau.PolicyVI, specs, 2*time.Second, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved.Migrations == 0 {
-		t.Fatal("no migrations happened")
-	}
-	if moved.Tasks["PR"].Completed <= still.Tasks["PR"].Completed {
-		t.Errorf("migration did not help PR: %d vs %d completions",
-			moved.Tasks["PR"].Completed, still.Tasks["PR"].Completed)
-	}
-	if moved.Tasks["FE"].DeadlineMisses > still.Tasks["FE"].DeadlineMisses {
-		t.Errorf("migration hurt FE: %d vs %d misses",
-			moved.Tasks["FE"].DeadlineMisses, still.Tasks["FE"].DeadlineMisses)
-	}
-	if moved.Tasks["beacon"].Completed != still.Tasks["beacon"].Completed {
-		t.Errorf("beacon task perturbed: %d vs %d",
-			moved.Tasks["beacon"].Completed, still.Tasks["beacon"].Completed)
-	}
-}
-
 // TestMigrationBitExact: a functionally executing request preempted on one
-// core and resumed on another produces exactly the reference output — the
-// shared-DDR property that makes VI-state migration free.
+// IAU and resumed on another through StealPreempted/InjectPreempted produces
+// exactly the reference output — the shared-DDR property that makes VI-state
+// migration free, and the primitive internal/cluster's steals are built on.
 func TestMigrationBitExact(t *testing.T) {
 	cfg := accel.Big()
 	cfg.ParaIn, cfg.ParaOut, cfg.ParaHeight = 4, 4, 3
 	// Build a functional victim.
 	g := model.NewResNetTiny()
-	victim, q := buildFunctionalSched(t, g, cfg)
-	input := newPatternInput(g)
+	victim, q := buildFunctional(t, g, cfg, true, 21)
+	input := tensor.NewInt8(g.InC, g.InH, g.InW)
+	tensor.FillPattern(input, 77)
 	want, err := q.RunFinal(input)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +37,7 @@ func TestMigrationBitExact(t *testing.T) {
 	// on core B.
 	a := iau.New(cfg, iau.PolicyVI)
 	b := iau.New(cfg, iau.PolicyVI)
-	probe := compileNet(t, cfg, model.NewTinyCNN(3, 12, 12), false)
+	probe := timingProg(t, model.NewTinyCNN(3, 12, 12), cfg, false)
 	if err := a.Submit(1, &iau.Request{Label: "victim", Prog: victim, Arena: arena}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +90,8 @@ func TestInjectValidation(t *testing.T) {
 		t.Error("nil token accepted")
 	}
 	// Policy mismatch.
-	p := compileNet(t, cfg, model.NewVGG16(3, 60, 80), true)
-	probe := compileNet(t, cfg, model.NewTinyCNN(3, 12, 12), false)
+	p := timingProg(t, model.NewVGG16(3, 60, 80), cfg, true)
+	probe := timingProg(t, model.NewTinyCNN(3, 12, 12), cfg, false)
 	if err := a.Submit(1, &iau.Request{Label: "v", Prog: p}); err != nil {
 		t.Fatal(err)
 	}

@@ -120,14 +120,6 @@ type TaskSpec struct {
 	// the bound VIBudget placement emits.
 	MaxResponse time.Duration
 
-	// PinCore restricts the task to one accelerator in multi-core runs
-	// (nil = the dispatcher picks the least-loaded core per request).
-	PinCore *int
-	// Migratable allows a preempted request to be stolen and resumed on an
-	// idle core (multi-core runs with Migrate enabled). Safe because every
-	// policy's interrupt backup lives in the shared DDR.
-	Migratable bool
-
 	// MaxRetries bounds how many times a watchdog-killed request is
 	// resubmitted before the iteration is shed (graceful degradation: a
 	// continuous task immediately starts its next iteration instead).
@@ -513,19 +505,10 @@ func run(cfg accel.Config, policy iau.Policy, specs []TaskSpec, horizon time.Dur
 			return
 		}
 		st := rt.stats
-		backoff := cfg.SecondsToCycles(rt.spec.RetryBackoff.Seconds())
-		if c.Req.Retries < rt.spec.MaxRetries {
-			at := u.Now + uint64(c.Req.Retries+1)*backoff
-			if err := u.Resubmit(c.Slot, c.Req, at); err == nil {
-				st.Retried++
-				st.Attempts++
-				// Arg carries the attempt index about to run (1 = first
-				// execution), so slot-level retries read differently from
-				// cluster-level migration retries (KindMigrate marks, whose
-				// arg is the destination engine).
-				opt.Tracer.Mark(trace.KindRetry, c.Slot, u.Now, uint64(c.Req.Retries+1), c.Req.Label)
-				return
-			}
+		if u.RetryFailed(c, rt.spec.MaxRetries, cfg.SecondsToCycles(rt.spec.RetryBackoff.Seconds())) {
+			st.Retried++
+			st.Attempts++
+			return
 		}
 		rt.inFlight--
 		// The request is gone for good; OnComplete never runs for it, so

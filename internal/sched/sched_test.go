@@ -13,7 +13,6 @@ import (
 	"inca/internal/model"
 	"inca/internal/quant"
 	"inca/internal/sched"
-	"inca/internal/tensor"
 )
 
 func compileNet(t *testing.T, cfg accel.Config, g *model.Network, vi bool) *isa.Program {
@@ -46,30 +45,6 @@ func dslamSpecs(t *testing.T, cfg accel.Config) []sched.TaskSpec {
 			Continuous: true,
 		},
 	}
-}
-
-// buildFunctionalSched compiles a network with weights for functional runs.
-func buildFunctionalSched(t *testing.T, g *model.Network, cfg accel.Config) (*isa.Program, *quant.Network) {
-	t.Helper()
-	q, err := quant.Synthesize(g, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := cfg.CompilerOptions()
-	opt.VI = compiler.VIEvery{}
-	opt.EmitWeights = true
-	p, err := compiler.Compile(q, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, q
-}
-
-// newPatternInput fills a deterministic input for the network.
-func newPatternInput(g *model.Network) *tensor.Int8 {
-	in := tensor.NewInt8(g.InC, g.InH, g.InW)
-	tensor.FillPattern(in, 77)
-	return in
 }
 
 func mustResNet(t *testing.T, depth, c, h, w int) *model.Network {

@@ -106,30 +106,6 @@ func compileVictim(c Case, cfg accel.Config, paramSeed uint64) (*isa.Program, *m
 	return bp, g, nil
 }
 
-// soloStarts replays the stream's exact IAU timing for an uninterrupted run
-// and returns the cycle at which each instruction would begin, plus the
-// completion cycle. Virtual instructions cost FetchCycles (discarded), real
-// ones their engine cycle count including the prefetch-hiding pipeline.
-func soloStarts(cfg accel.Config, p *isa.Program) ([]uint64, uint64) {
-	eng := accel.NewEngine(cfg)
-	defer eng.Close()
-	starts := make([]uint64, len(p.Instrs))
-	var now uint64
-	for i, in := range p.Instrs {
-		starts[i] = now
-		if in.Op == isa.OpEnd {
-			break
-		}
-		if in.Op.Virtual() {
-			now += uint64(cfg.FetchCycles)
-			continue
-		}
-		c, _ := eng.Exec(nil, p, in, 0)
-		now += c
-	}
-	return starts, now
-}
-
 // RunCase executes one generated case end to end: compile the victim, run
 // the golden interpreter for the expected arena, then run the real IAU stack
 // under the case's schedule and policy and check bit-exact equivalence plus
@@ -169,7 +145,8 @@ func RunCase(c Case) (RunStats, error) {
 		return stats, fmt.Errorf("golden rejects the compiled stream: %v", err)
 	}
 
-	starts, soloTotal := soloStarts(cfg, victim)
+	starts := make([]uint64, len(victim.Instrs))
+	soloTotal := accel.SoloReplay(cfg, victim, starts)
 
 	if c.Sched.Kind == KindCluster {
 		n, err := runClusterOnce(c, cfg, victim, probe, inputs, want, soloTotal)
