@@ -26,19 +26,19 @@ loc:
 
 # Datapath micro-benchmarks (MACs/s per layer shape, snapshot round trip),
 # the IAU's timing-only stepping cost (ns/instr, Mcycles/s: the in-module view
-# of the benchmark's preempt_mix and dslam_mission host numbers), plus the
-# repo-level experiment benchmarks.
+# of the benchmark's preempt_mix and dslam_mission host numbers) and the
+# functional datapath end to end through the IAU (MACs/s per worker count).
+# The experiment tables are `inca-bench -e`, not testing.B benchmarks.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/accel
-	$(GO) test -run xxx -bench 'BenchmarkIAUTimingOnly' -benchmem ./internal/iau
-	$(GO) test -run xxx -bench 'BenchmarkFunctionalInference' .
+	$(GO) test -run xxx -bench 'BenchmarkIAUTimingOnly|BenchmarkFunctionalInference' -benchmem ./internal/iau
 
 # Per-phase cost of one cold deploy (synthesize, compile, verify, encode,
 # decode, arena) of ResNet-18 60x80: ns, MB and allocations per phase, the
 # in-module view of what the benchmark's deploy_cold workload times. Not
 # part of tier1.
 bench-deploy:
-	$(GO) test -run '^$$' -bench 'BenchmarkDeployPhases' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkDeployPhases' -benchmem ./internal/core
 
 # The snapshot suites (internal/bench.Suites): every number in them comes
 # from the deterministic cycle model, so the gate re-measures each suite and
@@ -117,7 +117,7 @@ progcheck:
 
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
-COVER_FLOOR ?= 78.0
+COVER_FLOOR ?= 81.0
 COVERPROFILE ?= out/cover.out
 cover:
 	@mkdir -p $(dir $(COVERPROFILE))

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,48 +90,28 @@ func TestVetRejectsCorruptTransfer(t *testing.T) {
 	}
 }
 
-// spliceV2 rewrites a v3 image into the v2 layout: version stamp 2 and no
-// response-bound field (v2 predates the proven bound).
-func spliceV2(t *testing.T, path string) string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
+// TestVetUnmodeledBound: a stream compiled without a cost model carries a
+// zero (unmodeled) bound; the bound check is skipped, not failed.
+func TestVetUnmodeledBound(t *testing.T) {
+	q, err := quant.Synthesize(model.NewTinyCNN(3, 24, 32), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(raw[4:6], 2)
-	nameLen := int(binary.LittleEndian.Uint16(raw[16:18]))
-	off := 4 + 14 + nameLen + 36 // magic + header + name + counts
-	raw = append(raw[:off:off], raw[off+8:]...)
-	out := filepath.Join(t.TempDir(), "v2.bin")
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestVetV2Stream: a v2 (bound-less) image still decodes and verifies; the
-// bound check is skipped, not failed, for an unmodeled stream.
-func TestVetV2Stream(t *testing.T) {
-	p, _ := compileTiny(t)
-	path := spliceV2(t, writeStream(t, p))
-	f, err := os.Open(path)
+	opt := accel.Small().CompilerOptions()
+	opt.Cost = nil
+	p, err := compiler.Compile(q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := isa.Decode(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if back.ResponseBound != 0 {
-		t.Fatalf("v2 stream decoded with bound %d, want 0", back.ResponseBound)
+	if p.ResponseBound != 0 {
+		t.Fatalf("compiled without a cost model, bound %d, want 0", p.ResponseBound)
 	}
 	var out, errw bytes.Buffer
-	if code := run([]string{"-accel", "small", "-v", path}, &out, &errw); code != 0 {
+	if code := run([]string{"-accel", "small", "-v", writeStream(t, p)}, &out, &errw); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out.String(), errw.String())
 	}
 	if !strings.Contains(out.String(), "bound unmodeled") {
-		t.Fatalf("v2 stream should report an unmodeled bound:\n%s", out.String())
+		t.Fatalf("bound-less stream should report an unmodeled bound:\n%s", out.String())
 	}
 }
 

@@ -64,12 +64,3 @@ func ReadOutputAt(arena []byte, p *isa.Program, bat int) (*tensor.Int8, error) {
 	}
 	return out, nil
 }
-
-// ReadRegion extracts an arbitrary layer's output featuremap.
-func ReadRegion(arena []byte, l *isa.LayerInfo) *tensor.Int8 {
-	out := tensor.NewInt8(l.OutC, l.OutH, l.OutW)
-	for i := range out.Data {
-		out.Data[i] = int8(arena[int(l.OutAddr)+i])
-	}
-	return out
-}

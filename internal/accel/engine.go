@@ -735,10 +735,3 @@ func resizeBool(s []bool, n int) []bool {
 	}
 	return make([]bool, n)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated stack. Each experiment returns a Table
 // whose rows mirror what the paper reports; EXPERIMENTS.md records the
-// paper-vs-measured comparison. The cmd/inca-bench binary and the
-// repository-level testing.B benchmarks both drive these runners.
+// paper-vs-measured comparison. The cmd/inca-bench binary drives these
+// runners.
 package bench
 
 import (

@@ -6,7 +6,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/isa"
 	"inca/internal/model"
 )
@@ -42,7 +41,7 @@ func samplePositions(total uint64, n int, seed uint64) []uint64 {
 // E1Result carries the raw measurements behind the Fig. 5(a) table.
 type E1Result struct {
 	Table        *Table
-	Measurements map[iau.Policy][]interrupt.Measurement
+	Measurements map[iau.Policy][]Measurement
 	Config       accel.Config
 }
 
@@ -55,11 +54,11 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := interrupt.TinyPreemptor(cfg)
+	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	total, err := interrupt.SoloCycles(cfg, victim)
+	total, err := execCycles(cfg, victim)
 	if err != nil {
 		return nil, err
 	}
@@ -74,13 +73,13 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 				"layer lat(us)", "layer cost(us)",
 				"VI lat(us)", "VI cost(us)"},
 		},
-		Measurements: make(map[iau.Policy][]interrupt.Measurement),
+		Measurements: make(map[iau.Policy][]Measurement),
 		Config:       cfg,
 	}
 	for i, pos := range positions {
 		row := []string{fmt.Sprintf("%d", i+1), ""}
 		for _, pol := range []iau.Policy{iau.PolicyCPULike, iau.PolicyLayerByLayer, iau.PolicyVI} {
-			m, err := interrupt.MeasureAt(cfg, pol, victim, probe, pos)
+			m, err := measureAt(cfg, pol, victim, probe, pos)
 			if err != nil {
 				return nil, fmt.Errorf("E1 position %d policy %v: %w", i, pol, err)
 			}

@@ -6,7 +6,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 	"inca/internal/quant"
 )
@@ -44,11 +43,11 @@ func E10Sensitivity(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			probe, err := interrupt.TinyPreemptor(cfg)
+			probe, err := tinyPreemptor(cfg)
 			if err != nil {
 				return nil, err
 			}
-			total, err := interrupt.SoloCycles(cfg, p)
+			total, err := execCycles(cfg, p)
 			if err != nil {
 				return nil, err
 			}
@@ -56,11 +55,11 @@ func E10Sensitivity(scale Scale) (*Table, error) {
 			n := 6
 			for i := 1; i <= n; i++ {
 				pos := total * uint64(i) / uint64(n+1)
-				mv, err := interrupt.MeasureAt(cfg, iau.PolicyVI, p, probe, pos)
+				mv, err := measureAt(cfg, iau.PolicyVI, p, probe, pos)
 				if err != nil {
 					return nil, err
 				}
-				ml, err := interrupt.MeasureAt(cfg, iau.PolicyLayerByLayer, p, probe, pos)
+				ml, err := measureAt(cfg, iau.PolicyLayerByLayer, p, probe, pos)
 				if err != nil {
 					return nil, err
 				}

@@ -5,7 +5,6 @@ import (
 
 	"inca/internal/accel"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 )
 
@@ -30,11 +29,11 @@ func E12Energy(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := interrupt.TinyPreemptor(cfg)
+	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	total, err := interrupt.SoloCycles(cfg, victim)
+	total, err := execCycles(cfg, victim)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +61,7 @@ func E12Energy(scale Scale) (*Table, error) {
 		var sum float64
 		n := 6
 		for i := 1; i <= n; i++ {
-			m, err := interrupt.MeasureAt(cfg, pol, victim, probe, total*uint64(i)/uint64(n+1))
+			m, err := measureAt(cfg, pol, victim, probe, total*uint64(i)/uint64(n+1))
 			if err != nil {
 				return nil, err
 			}

@@ -2,11 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 )
 
@@ -37,14 +37,14 @@ func E2NetworkSweep(scale Scale) (*Table, error) {
 	}
 	for _, g := range nets {
 		for _, cfg := range cfgs {
-			st, err := interrupt.WorstWaits(cfg, g)
+			st, err := worstWaits(cfg, g)
 			if err != nil {
 				return nil, fmt.Errorf("E2 %s/%s: %w", g.Name, cfg.Name, err)
 			}
-			avgL := cfg.CyclesToMicros(uint64(interrupt.Mean(st.LayerLBL)))
-			worstL := cfg.CyclesToMicros(interrupt.Max(st.LayerLBL))
-			avgV := cfg.CyclesToMicros(uint64(interrupt.Mean(st.LayerVI)))
-			worstV := cfg.CyclesToMicros(interrupt.Max(st.LayerVI))
+			avgL := cfg.CyclesToMicros(meanCycles(st.LayerLBL))
+			worstL := cfg.CyclesToMicros(slices.Max(st.LayerLBL))
+			avgV := cfg.CyclesToMicros(meanCycles(st.LayerVI))
+			worstV := cfg.CyclesToMicros(slices.Max(st.LayerVI))
 			mL, mV := "-", "-"
 			if cfg.ParaIn == 16 {
 				// Cross-validate on the big configuration.
@@ -71,6 +71,16 @@ func E2NetworkSweep(scale Scale) (*Table, error) {
 	return t, nil
 }
 
+// meanCycles is the mean of a non-empty per-layer series, truncated to a
+// whole cycle.
+func meanCycles(xs []uint64) uint64 {
+	var s float64
+	for _, x := range xs {
+		s += float64(x)
+	}
+	return uint64(s / float64(len(xs)))
+}
+
 // e2Measure runs end-to-end latency probes on the simulator: mean response
 // latency of both methods over 4 sampled positions.
 func e2Measure(cfg accel.Config, g *model.Network) (layerUs, viUs float64, err error) {
@@ -78,22 +88,22 @@ func e2Measure(cfg accel.Config, g *model.Network) (layerUs, viUs float64, err e
 	if err != nil {
 		return 0, 0, err
 	}
-	probe, err := interrupt.TinyPreemptor(cfg)
+	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	total, err := interrupt.SoloCycles(cfg, p)
+	total, err := execCycles(cfg, p)
 	if err != nil {
 		return 0, 0, err
 	}
 	n := 4
 	for i := 1; i <= n; i++ {
 		pos := total * uint64(i) / uint64(n+1)
-		ml, err := interrupt.MeasureAt(cfg, iau.PolicyLayerByLayer, p, probe, pos)
+		ml, err := measureAt(cfg, iau.PolicyLayerByLayer, p, probe, pos)
 		if err != nil {
 			return 0, 0, err
 		}
-		mv, err := interrupt.MeasureAt(cfg, iau.PolicyVI, p, probe, pos)
+		mv, err := measureAt(cfg, iau.PolicyVI, p, probe, pos)
 		if err != nil {
 			return 0, 0, err
 		}

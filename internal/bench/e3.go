@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"inca/internal/accel"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 )
 
@@ -46,7 +45,7 @@ func E3BackupVsConv(scale Scale) (*Table, error) {
 			OutW: (r.W+2*r.Pad-r.K)/r.Stride + 1,
 			KH:   r.K, KW: r.K, Stride: r.Stride, Pad: r.Pad, Groups: 1,
 		}
-		t1 := cfg.CyclesToMicros(interrupt.WorstWaitVI(cfg, spec))
+		t1 := cfg.CyclesToMicros(worstWaitVI(cfg, spec))
 		// Backup: the pending save window's finished channels for the tile
 		// (BlobsPerSave=2 out-channel groups, capped at the layer width).
 		winCh := 2 * cfg.ParaOut

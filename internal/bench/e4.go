@@ -6,7 +6,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 )
 
@@ -25,8 +24,8 @@ func E4TheoryCheck(scale Scale) (*Table, error) {
 	}
 	spec := specs[0]
 
-	theory := interrupt.TheoreticalRl(cfg, spec)
-	cycleModel := interrupt.MeasuredRl(cfg, spec)
+	theory := theoreticalRl(cfg, spec)
+	cycleModel := measuredRl(cfg, spec)
 
 	// End-to-end: repeat the medium layer enough times that a mid-run
 	// request always lands inside one, then measure both policies.
@@ -40,21 +39,21 @@ func E4TheoryCheck(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := interrupt.TinyPreemptor(cfg)
+	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	total, err := interrupt.SoloCycles(cfg, victim)
+	total, err := execCycles(cfg, victim)
 	if err != nil {
 		return nil, err
 	}
 	var viWorst, lblWorst uint64
 	for _, pos := range samplePositions(total, 10, 77) {
-		mv, err := interrupt.MeasureAt(cfg, iau.PolicyVI, victim, probe, pos)
+		mv, err := measureAt(cfg, iau.PolicyVI, victim, probe, pos)
 		if err != nil {
 			return nil, err
 		}
-		ml, err := interrupt.MeasureAt(cfg, iau.PolicyLayerByLayer, victim, probe, pos)
+		ml, err := measureAt(cfg, iau.PolicyLayerByLayer, victim, probe, pos)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 	"inca/internal/quant"
 )
@@ -27,7 +26,7 @@ func E8SaveGranularity(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := interrupt.TinyPreemptor(cfg)
+	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -46,14 +45,14 @@ func E8SaveGranularity(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E8 bps=%d: %w", bps, err)
 		}
-		total, err := interrupt.SoloCycles(cfg, p)
+		total, err := execCycles(cfg, p)
 		if err != nil {
 			return nil, err
 		}
 		var lat, cost, backup float64
 		n := 8
 		for i := 1; i <= n; i++ {
-			m, err := interrupt.MeasureAt(cfg, iau.PolicyVI, p, probe, total*uint64(i)/uint64(n+1))
+			m, err := measureAt(cfg, iau.PolicyVI, p, probe, total*uint64(i)/uint64(n+1))
 			if err != nil {
 				return nil, err
 			}

@@ -133,22 +133,6 @@ func (rt *Runtime) onFail(c iau.Completion, failErr error) {
 	}
 }
 
-// DeployOption customizes a Deploy* call.
-type DeployOption func(*deployConfig)
-
-type deployConfig struct {
-	vi compiler.VIPolicy
-}
-
-// WithVIPolicy overrides the slot's default virtual-instruction placement
-// (VIEvery for preemptible slots under PolicyVI, VINone otherwise): pass
-// compiler.VIBudget{MaxResponseCycles: n} to compile the minimal interrupt
-// point set meeting a response budget, or compiler.VINone{} to pin a
-// preemptible slot uninterruptible.
-func WithVIPolicy(p compiler.VIPolicy) DeployOption {
-	return func(c *deployConfig) { c.vi = p }
-}
-
 // Deploy quantizes (synthetically) and compiles the network for the slot.
 // Slot 0 is the highest priority and never preempted; higher slot numbers
 // are interruptible and receive virtual instructions.
@@ -157,15 +141,15 @@ func WithVIPolicy(p compiler.VIPolicy) DeployOption {
 // flag runs the internal/progcheck static verifier over the emitted stream
 // (layout, restore groups, reservations, resume replays, response-bound
 // re-derivation) — an unverifiable program never binds to a slot.
-func (rt *Runtime) Deploy(slot int, g *model.Network, seed uint64, opts ...DeployOption) (*Deployment, error) {
-	return rt.DeployBatched(slot, g, seed, 1, opts...)
+func (rt *Runtime) Deploy(slot int, g *model.Network, seed uint64) (*Deployment, error) {
+	return rt.DeployBatched(slot, g, seed, 1)
 }
 
 // DeployBatched is Deploy with a batch dimension: the compiled plan carries
 // batch input/output planes per featuremap and amortizes every weight load
 // across the batch (serving-style throughput mode). InferBatch runs such a
 // deployment on a full batch of inputs; batch 1 is identical to Deploy.
-func (rt *Runtime) DeployBatched(slot int, g *model.Network, seed uint64, batch int, opts ...DeployOption) (*Deployment, error) {
+func (rt *Runtime) DeployBatched(slot int, g *model.Network, seed uint64, batch int) (*Deployment, error) {
 	if slot < 0 || slot >= iau.NumSlots {
 		return nil, fmt.Errorf("core: slot %d out of range [0,%d)", slot, iau.NumSlots)
 	}
@@ -176,27 +160,23 @@ func (rt *Runtime) DeployBatched(slot int, g *model.Network, seed uint64, batch 
 	if err != nil {
 		return nil, err
 	}
-	return rt.deployQuantizedBatch(slot, g.Name, q, batch, opts...)
+	return rt.deployQuantizedBatch(slot, g.Name, q, batch)
 }
 
 // DeployQuantized compiles an already-quantized network for the slot.
-func (rt *Runtime) DeployQuantized(slot int, q *quant.Network, opts ...DeployOption) (*Deployment, error) {
+func (rt *Runtime) DeployQuantized(slot int, q *quant.Network) (*Deployment, error) {
 	if slot < 0 || slot >= iau.NumSlots {
 		return nil, fmt.Errorf("core: slot %d out of range [0,%d)", slot, iau.NumSlots)
 	}
 	if rt.deployments[slot] != nil {
 		return nil, fmt.Errorf("core: slot %d already bound to %q", slot, rt.deployments[slot].Name)
 	}
-	return rt.deployQuantizedBatch(slot, q.Graph.Name, q, 1, opts...)
+	return rt.deployQuantizedBatch(slot, q.Graph.Name, q, 1)
 }
 
-func (rt *Runtime) deployQuantizedBatch(slot int, name string, q *quant.Network, batch int, opts ...DeployOption) (*Deployment, error) {
-	dc := deployConfig{vi: compiler.VIIf(rt.Policy == iau.PolicyVI && slot > 0)}
-	for _, o := range opts {
-		o(&dc)
-	}
+func (rt *Runtime) deployQuantizedBatch(slot int, name string, q *quant.Network, batch int) (*Deployment, error) {
 	opt := rt.Cfg.CompilerOptions()
-	opt.VI = dc.vi
+	opt.VI = compiler.VIIf(rt.Policy == iau.PolicyVI && slot > 0)
 	opt.Batch = batch
 	// Embed the weight image so InferBatch (and any caller handing InferSync
 	// a fresh accel.NewArena) can run functionally; timing-only callers just

@@ -121,13 +121,6 @@ func (j *Injector) SetRate(site Site, rate float64) *Injector {
 	return j
 }
 
-// Rate returns a site's armed probability.
-func (j *Injector) Rate(site Site) float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rates[site]
-}
-
 // Hit draws the site's next decision: true means inject a fault here.
 // Consecutive calls at one site advance its private sequence, so the
 // decision stream is independent of every other site's probe order.
@@ -161,17 +154,6 @@ func (j *Injector) Hits(site Site) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.hits[site]
-}
-
-// TotalHits returns the number of faults injected across all sites.
-func (j *Injector) TotalHits() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var t uint64
-	for _, h := range j.hits {
-		t += h
-	}
-	return t
 }
 
 // Report snapshots per-site draw/hit counts.

@@ -1,11 +1,14 @@
 package iau_test
 
 import (
+	"fmt"
 	"testing"
 
 	"inca/internal/accel"
 	"inca/internal/iau"
+	"inca/internal/isa"
 	"inca/internal/model"
+	"inca/internal/tensor"
 )
 
 // BenchmarkIAUTimingOnly is the in-module view of what the benchmark's
@@ -68,6 +71,54 @@ func BenchmarkIAUTimingOnly(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
 			b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
+		})
+	}
+}
+
+// BenchmarkFunctionalInference measures the bit-exact functional datapath on
+// a small network, end to end through the IAU, at several worker counts.
+// (Per-kernel datapath numbers live in internal/accel's BenchmarkEngineConv.)
+func BenchmarkFunctionalInference(b *testing.B) {
+	cfg := accel.Big()
+	cfg.ParaIn, cfg.ParaOut, cfg.ParaHeight = 4, 4, 3
+	g := model.NewResNetTiny()
+	p, _ := buildFunctional(b, g, cfg, true, 1)
+	var macs float64
+	for i := range p.Layers {
+		l := &p.Layers[i]
+		if l.Op != isa.LayerConv {
+			continue
+		}
+		icg := l.InC
+		if l.Groups == l.InC && l.Groups > 1 {
+			icg = 1
+		}
+		fp := max(l.FusedPool, 1)
+		macs += float64(l.OutC*l.OutH*fp*l.OutW*fp) * float64(l.KH*l.KW*icg)
+	}
+	input := tensor.NewInt8(g.InC, g.InH, g.InW)
+	tensor.FillPattern(input, 5)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			wcfg := cfg
+			wcfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				arena, err := accel.NewArena(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := accel.WriteInput(arena, p, input); err != nil {
+					b.Fatal(err)
+				}
+				u := iau.New(wcfg, iau.PolicyNone)
+				if err := u.Submit(1, &iau.Request{Label: "f", Prog: p, Arena: arena}); err != nil {
+					b.Fatal(err)
+				}
+				if err := u.RunAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds(), "MACs/s")
 		})
 	}
 }

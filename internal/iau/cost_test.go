@@ -5,7 +5,6 @@ import (
 
 	"inca/internal/accel"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/model"
 )
 
@@ -14,10 +13,7 @@ import (
 func midFlight(t *testing.T, cfg accel.Config, slot int) *iau.IAU {
 	t.Helper()
 	p, _ := buildFunctional(t, model.NewTinyCNN(3, 24, 32), cfg, true, 11)
-	solo, err := interrupt.SoloCycles(cfg, p)
-	if err != nil {
-		t.Fatalf("solo: %v", err)
-	}
+	solo := accel.SoloReplay(cfg, p, nil)
 	u := iau.New(cfg, iau.PolicyVI)
 	if err := u.Submit(slot, &iau.Request{Label: "victim", Prog: p}); err != nil {
 		t.Fatalf("submit: %v", err)

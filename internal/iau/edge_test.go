@@ -26,6 +26,19 @@ func timingProg(t testing.TB, g *model.Network, cfg accel.Config, vi bool) *isa.
 	return p
 }
 
+// TestPolicyString pins the mechanism names the E-tables and CLIs print.
+func TestPolicyString(t *testing.T) {
+	for p, want := range map[iau.Policy]string{
+		iau.PolicyNone: "none", iau.PolicyCPULike: "cpu-like",
+		iau.PolicyLayerByLayer: "layer-by-layer", iau.PolicyVI: "virtual-instruction",
+		iau.Policy(9): "Policy(9)",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, want)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	cfg := accel.Big()
 	u := iau.New(cfg, iau.PolicyVI)

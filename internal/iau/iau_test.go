@@ -13,7 +13,7 @@ import (
 )
 
 // buildFunctional compiles a network for functional execution on cfg.
-func buildFunctional(t *testing.T, g *model.Network, cfg accel.Config, vi bool, seed uint64) (*isa.Program, *quant.Network) {
+func buildFunctional(t testing.TB, g *model.Network, cfg accel.Config, vi bool, seed uint64) (*isa.Program, *quant.Network) {
 	t.Helper()
 	q, err := quant.Synthesize(g, seed)
 	if err != nil {

@@ -3,79 +3,30 @@ package isa_test
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"inca/internal/isa"
 )
 
-// spliceV2 rewrites an encoded v3 image into the v2 layout: version stamp 2
-// and the 8-byte response-bound field removed. v2 is the codec the repo
-// shipped before the proven bound existed; Decode must keep reading it.
-func spliceV2(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint16(out[4:6], 2)
-	nameLen := int(binary.LittleEndian.Uint16(out[16:18]))
-	off := 4 + 14 + nameLen + 36 // magic + fixed header + name + counts
-	return append(out[:off:off], out[off+8:]...)
-}
-
-// TestV2DecodeRelocateDisasm: a v2 (bound-less) stream decodes to the same
-// program minus the bound, relocates cleanly, and disassembles to exactly
-// the text of the v3 original — the listing shows stream content, not codec
-// vintage.
-func TestV2DecodeRelocateDisasm(t *testing.T) {
-	p := sampleProgram()
-	p.ResponseBound = 7777
+// TestDecodeRejectsOldVersions: Decode reads the current codec (v3) only. No
+// tool writes v1 or v2 images any more, so each is refused at the header
+// with an error naming its version, as is a version from the future.
+func TestDecodeRejectsOldVersions(t *testing.T) {
 	var buf bytes.Buffer
-	if err := isa.Encode(&buf, p); err != nil {
+	if err := isa.Encode(&buf, sampleProgram()); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := isa.Decode(bytes.NewReader(spliceV2(t, buf.Bytes())))
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if v2.ResponseBound != 0 {
-		t.Fatalf("v2 stream decoded with bound %d, want 0", v2.ResponseBound)
-	}
-	want := *p
-	want.ResponseBound = 0
-	if !reflect.DeepEqual(&want, v2) {
-		t.Fatalf("v2 decode differs beyond the bound:\n%+v\nvs\n%+v", &want, v2)
-	}
-
-	rel, err := isa.Relocate(v2, 4096)
-	if err != nil {
-		t.Fatalf("relocating v2 program: %v", err)
-	}
-	if err := rel.Validate(); err != nil {
-		t.Fatalf("relocated v2 program invalid: %v", err)
-	}
-	var d3, d2 strings.Builder
-	if err := p.Disassemble(&d3); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Disassemble(&d2); err != nil {
-		t.Fatal(err)
-	}
-	if d3.String() != d2.String() {
-		t.Error("v2 and v3 decodes of the same stream disassemble differently")
-	}
-
-	// Re-encoding a v2 decode upgrades it to the current codec: the image
-	// round-trips with a zero (honest) bound, not a fabricated one.
-	var up bytes.Buffer
-	if err := isa.Encode(&up, v2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := isa.Decode(&up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v2, back) {
-		t.Fatal("v2 program does not survive re-encode through the current codec")
+	for _, v := range []uint16{1, 2, 4} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			img := append([]byte(nil), buf.Bytes()...)
+			binary.LittleEndian.PutUint16(img[4:6], v)
+			_, err := isa.Decode(bytes.NewReader(img))
+			if want := fmt.Sprintf("version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Decode of a v%d image: err = %v, want one naming %q", v, err, want)
+			}
+		})
 	}
 }
 

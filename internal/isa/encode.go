@@ -17,7 +17,7 @@ import (
 //	         u32 nLayers | u32 nInstrs | u32 ddrBytes
 //	         u32 inputAddr | u32 inputBytes | u32 outputAddr | u32 outputBytes
 //	         u32 weightsAddr | u32 weightsLen
-//	         u64 responseBound (v3+)
+//	         u64 responseBound
 //	layers:  fixed 72-byte records + u16-prefixed name
 //	instrs:  fixed 28-byte records (see instrRecordBytes)
 //	weights: the DDR weight image, verbatim (weightsLen bytes)
@@ -26,8 +26,8 @@ import (
 // a 68-byte layer record. v2 added the batch dimension and the
 // FusedAdd/AddShift/AddReLU epilogue fields. v3 (current) appends a u64
 // responseBound after the counts block (the compiler-proven worst-case
-// preemption-response latency in cycles, 0 = unmodeled). v2 streams still
-// decode (responseBound = 0); v1 streams are rejected.
+// preemption-response latency in cycles, 0 = unmodeled). Decode reads v3
+// only: nothing writes v1 or v2 images any more, and both are rejected.
 
 const (
 	magic   = "INCA"
@@ -250,7 +250,7 @@ func Decode(r io.Reader) (*Program, error) {
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("isa: reading header: %w", err)
 	}
-	if hdr.Version != version && hdr.Version != 2 {
+	if hdr.Version != version {
 		return nil, fmt.Errorf("isa: unsupported version %d", hdr.Version)
 	}
 	name := make([]byte, hdr.NameLen)
@@ -262,10 +262,8 @@ func Decode(r io.Reader) (*Program, error) {
 		return nil, fmt.Errorf("isa: reading counts: %w", err)
 	}
 	var respBound uint64
-	if hdr.Version >= 3 {
-		if err := binary.Read(br, binary.LittleEndian, &respBound); err != nil {
-			return nil, fmt.Errorf("isa: reading response bound: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &respBound); err != nil {
+		return nil, fmt.Errorf("isa: reading response bound: %w", err)
 	}
 	p := &Program{
 		Name:          string(name),

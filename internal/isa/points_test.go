@@ -144,11 +144,12 @@ func TestStripVirtualEdgeCases(t *testing.T) {
 // fast with memory proportional to the input actually supplied: for this
 // header-only input, the reader's buffer and nothing sized by a count.
 func TestDecodeHostileCounts(t *testing.T) {
-	// magic + version-2 header with zero name, then counts claiming 2^32-1
-	// layers, instructions and weight bytes — and no body at all.
+	// magic + version-3 header with zero name, then counts claiming 2^32-1
+	// layers, instructions and weight bytes, a zero response bound — and no
+	// body at all.
 	var buf bytes.Buffer
 	buf.WriteString("INCA")
-	hdr := []uint16{2, 0, 4, 4, 3, 1, 0} // version, flags, paraIn/Out/Height, batch, nameLen
+	hdr := []uint16{3, 0, 4, 4, 3, 1, 0} // version, flags, paraIn/Out/Height, batch, nameLen
 	for _, v := range hdr {
 		buf.WriteByte(byte(v))
 		buf.WriteByte(byte(v >> 8))
@@ -156,6 +157,7 @@ func TestDecodeHostileCounts(t *testing.T) {
 	for i := 0; i < 9; i++ { // nine u32 count fields, all 0xFFFFFFFF
 		buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	}
+	buf.Write(make([]byte, 8)) // u64 responseBound
 	done := make(chan error, 1)
 	got := allocated(func() {
 		go func() {

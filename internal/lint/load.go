@@ -80,16 +80,6 @@ func NewTestLoader(testdataRoot string) *Loader {
 	return l
 }
 
-// Packages returns every package loaded so far, sorted by import path.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // Index returns the loaded packages keyed by import path.
 func (l *Loader) Index() map[string]*Package { return l.pkgs }
 

@@ -61,7 +61,6 @@ func TestModulePackagesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		"inca":                  false,
 		"inca/internal/iau":     false,
 		"inca/internal/trace":   false,
 		"inca/internal/lint":    false,

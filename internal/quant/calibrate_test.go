@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"inca/internal/accel"
+	"inca/internal/compiler"
+	"inca/internal/iau"
 	"inca/internal/model"
 	"inca/internal/quant"
 	"inca/internal/tensor"
@@ -117,7 +120,9 @@ func TestCalibrationScalesFromSamples(t *testing.T) {
 }
 
 // TestCalibratedNetworkCompiles: the quantized network must flow through the
-// compiler and the functional accelerator, matching the reference executor.
+// compiler and the functional accelerator, matching the reference executor:
+// compiled to VI-ISA with its weight image embedded, run under the IAU while
+// a high-priority request preempts it, bit-exact with RunFinal.
 func TestCalibratedNetworkCompiles(t *testing.T) {
 	g := model.NewResNetTiny()
 	fn, err := quant.SynthesizeFloat(g, 11)
@@ -133,7 +138,59 @@ func TestCalibratedNetworkCompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := quant.QuantizeInput(floatSample(g, 6), cal)
-	if _, err := q.RunFinal(in); err != nil {
+	want, err := q.RunFinal(in)
+	if err != nil {
 		t.Fatalf("reference run of calibrated network: %v", err)
+	}
+
+	cfg := accel.Big()
+	cfg.ParaIn, cfg.ParaOut, cfg.ParaHeight = 8, 8, 4
+	opt := cfg.CompilerOptions()
+	opt.VI = compiler.VIEvery{}
+	opt.EmitWeights = true
+	prog, err := compiler.Compile(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uq, err := quant.Synthesize(model.NewTinyCNN(3, 8, 8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.VI = compiler.VINone{}
+	urgent, err := compiler.Compile(uq, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := accel.NewArena(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := accel.WriteInput(arena, prog, in); err != nil {
+		t.Fatal(err)
+	}
+	urgentArena, err := accel.NewArena(urgent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := iau.New(cfg, iau.PolicyVI)
+	if err := u.Submit(1, &iau.Request{Label: "calibrated", Prog: prog, Arena: arena}); err != nil {
+		t.Fatal(err)
+	}
+	at := accel.SoloReplay(cfg, prog, nil) / 2
+	if err := u.SubmitAt(0, &iau.Request{Label: "urgent", Prog: urgent, Arena: urgentArena}, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(u.Preemptions) == 0 {
+		t.Fatalf("request at cycle %d did not preempt the calibrated network", at)
+	}
+	got, err := accel.ReadOutput(arena, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("preempted accelerator output differs from the int8 reference")
 	}
 }

@@ -81,17 +81,6 @@ func (b *Bag) Topics() []string {
 	return out
 }
 
-// MessagesOn returns the bag's messages for one topic, in capture order.
-func (b *Bag) MessagesOn(topic string) []Message {
-	var out []Message
-	for _, r := range b.Records {
-		if r.Topic == topic {
-			out = append(out, r.Msg)
-		}
-	}
-	return out
-}
-
 // Replay schedules every recorded message for publication on the target
 // core at its original stamp (which must not be in the target's past). The
 // messages are re-published through a replay node, so subscribers see the

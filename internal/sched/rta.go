@@ -8,7 +8,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/cost"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/isa"
 )
 
@@ -28,7 +27,9 @@ import (
 type TaskModel struct {
 	Name string
 	Slot int
-	// Cost is the worst-case accelerator time of one inference (cycles).
+	// Cost is the worst-case accelerator time of one inference (cycles):
+	// the runtime's own occupancy, accel.SoloReplay, which also counts the
+	// fetch of every virtual instruction the IAU skips.
 	Cost uint64
 	// Period is the minimum inter-arrival time (cycles); 0 marks a
 	// best-effort task that never blocks anyone by arriving (it only
@@ -57,19 +58,20 @@ type RTAResult struct {
 func BlockingBound(cfg accel.Config, p *isa.Program, policy iau.Policy) (uint64, error) {
 	switch policy {
 	case iau.PolicyNone:
-		return interrupt.SoloCycles(cfg, p)
+		// The whole inference, as the runtime occupies the accelerator.
+		return accel.SoloReplay(cfg, p, nil), nil
 	case iau.PolicyCPULike:
 		// One instruction plus the full cache spill.
 		return cost.Summarize(p, cfg).MaxInstr + cfg.XferCycles(uint32(cfg.TotalBufferBytes())), nil
 	case iau.PolicyLayerByLayer:
 		// Stream-exact: the longest inter-layer stretch of the compiled
 		// program (transfer overlap ignored — a safe upper bound).
-		return interrupt.WorstLayerGap(cfg, p), nil
+		return cost.NewTable(p, cfg).WorstLayerGap(), nil
 	case iau.PolicyVI:
 		// Stream-exact: the longest stretch between interrupt points,
 		// including the closing backup. Programs compiled without the VI
 		// pass correctly degenerate to whole-program blocking.
-		return interrupt.WorstUninterruptibleGap(cfg, p), nil
+		return cost.Summarize(p, cfg).WorstPointGap(), nil
 	default:
 		return 0, fmt.Errorf("sched: no blocking bound for policy %v", policy)
 	}
@@ -77,16 +79,12 @@ func BlockingBound(cfg accel.Config, p *isa.Program, policy iau.Policy) (uint64,
 
 // NewTaskModel derives the analytical model of a task from its program.
 func NewTaskModel(cfg accel.Config, name string, slot int, p *isa.Program, policy iau.Policy, period, deadline time.Duration) (TaskModel, error) {
-	cost, err := interrupt.SoloCycles(cfg, p)
-	if err != nil {
-		return TaskModel{}, err
-	}
 	blocking, err := BlockingBound(cfg, p, policy)
 	if err != nil {
 		return TaskModel{}, err
 	}
 	return TaskModel{
-		Name: name, Slot: slot, Cost: cost,
+		Name: name, Slot: slot, Cost: accel.SoloReplay(cfg, p, nil),
 		Period:   cfg.SecondsToCycles(period.Seconds()),
 		Deadline: cfg.SecondsToCycles(deadline.Seconds()),
 		Blocking: blocking,

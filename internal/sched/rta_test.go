@@ -132,6 +132,49 @@ func TestRTAResponseBoundsSimulation(t *testing.T) {
 	}
 }
 
+// TestRTABoundsNativeWorstArrival: on the native accelerator FE's worst case
+// is arriving one cycle after a PR inference starts. PR is VI-compiled, so
+// the IAU fetches and skips its virtual instructions on the way; the bound
+// covers the simulated response only if the analysis prices PR's blocking
+// as the runtime occupies the accelerator.
+func TestRTABoundsNativeWorstArrival(t *testing.T) {
+	cfg := accel.Big()
+	gem, err := model.NewGeM(3, 120, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := compileNet(t, cfg, model.NewSuperPoint(90, 120), false)
+	pr := compileNet(t, cfg, gem, true)
+	feM, err := sched.NewTaskModel(cfg, "FE", 0, fe, iau.PolicyNone, 50*time.Millisecond, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prM, err := sched.NewTaskModel(cfg, "PR", 1, pr, iau.PolicyNone, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sched.Analyze([]sched.TaskModel{feM, prM})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	u := iau.New(cfg, iau.PolicyNone)
+	feReq := &iau.Request{Label: "FE", Prog: fe}
+	if err := u.Submit(1, &iau.Request{Label: "PR", Prog: pr}); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.SubmitAt(0, feReq, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := feReq.DoneCycle - feReq.SubmitCycle; got > res[0].Response {
+		t.Errorf("simulated FE response %d cycles exceeds the native RTA bound %d by %d",
+			got, res[0].Response, got-res[0].Response)
+	}
+}
+
 func TestAnalyzeRejectsDuplicateSlots(t *testing.T) {
 	_, err := sched.Analyze([]sched.TaskModel{
 		{Name: "a", Slot: 0, Cost: 10},

@@ -8,7 +8,6 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/isa"
 	"inca/internal/model"
 	"inca/internal/quant"
@@ -95,14 +94,8 @@ func TestPriorityInversion(t *testing.T) {
 	// Set the FE deadline between "FE alone" and "FE plus half a PR
 	// inference": blocking behind PR is then fatal roughly half the time,
 	// while a VI-grade response (tens of microseconds) is harmless.
-	feSolo, err := interrupt.SoloCycles(cfg, specs[0].Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prSolo, err := interrupt.SoloCycles(cfg, specs[1].Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feSolo := accel.SoloReplay(cfg, specs[0].Prog, nil)
+	prSolo := accel.SoloReplay(cfg, specs[1].Prog, nil)
 	deadline := time.Duration(cfg.CyclesToSeconds(feSolo+prSolo/2) * float64(time.Second))
 	for i := range specs {
 		if specs[i].Name == "FE" {

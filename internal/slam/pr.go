@@ -2,7 +2,6 @@ package slam
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"inca/internal/world"
@@ -128,9 +127,6 @@ func (db *Database) Add(e PlaceEntry) { db.entries = append(db.entries, e) }
 // Len returns the number of stored places.
 func (db *Database) Len() int { return len(db.entries) }
 
-// Entries returns the stored places (read-only use).
-func (db *Database) Entries() []PlaceEntry { return db.entries }
-
 // Query retrieves the best match for the descriptor under the recognizer's
 // acceptance rules. crossAgentOnly restricts hits to other agents (the DSLAM
 // map-merge use case).
@@ -157,21 +153,4 @@ func (db *Database) Query(r Recognizer, q PlaceEntry, crossAgentOnly bool) (Matc
 		return Match{}, false
 	}
 	return best, true
-}
-
-// TopK returns the k best cross-agent candidates sorted by similarity,
-// without applying the acceptance threshold (for precision/recall studies).
-func (db *Database) TopK(q PlaceEntry, k int, crossAgentOnly bool) []Match {
-	var ms []Match
-	for _, e := range db.entries {
-		if crossAgentOnly && e.AgentID == q.AgentID {
-			continue
-		}
-		ms = append(ms, Match{Query: q, Hit: e, Similarity: q.Desc.Cosine(e.Desc)})
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Similarity > ms[j].Similarity })
-	if len(ms) > k {
-		ms = ms[:k]
-	}
-	return ms
 }

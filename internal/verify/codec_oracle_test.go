@@ -194,7 +194,7 @@ func oracleDecode(r io.Reader) (*isa.Program, error) {
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("isa: reading header: %w", err)
 	}
-	if hdr.Version != oracleVersion && hdr.Version != 2 {
+	if hdr.Version != oracleVersion {
 		return nil, fmt.Errorf("isa: unsupported version %d", hdr.Version)
 	}
 	name := make([]byte, hdr.NameLen)
@@ -206,10 +206,8 @@ func oracleDecode(r io.Reader) (*isa.Program, error) {
 		return nil, fmt.Errorf("isa: reading counts: %w", err)
 	}
 	var respBound uint64
-	if hdr.Version >= 3 {
-		if err := binary.Read(br, binary.LittleEndian, &respBound); err != nil {
-			return nil, fmt.Errorf("isa: reading response bound: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &respBound); err != nil {
+		return nil, fmt.Errorf("isa: reading response bound: %w", err)
 	}
 	const prealloc = 1 << 12
 	p := &isa.Program{

@@ -11,7 +11,6 @@ import (
 	"inca/internal/compiler"
 	"inca/internal/cost"
 	"inca/internal/iau"
-	"inca/internal/interrupt"
 	"inca/internal/isa"
 	"inca/internal/model"
 	"inca/internal/progcheck"
@@ -202,10 +201,10 @@ func checkTableAgainstWalks(cfg accel.Config, p *isa.Program) error {
 		}
 	}
 
-	if got, want := interrupt.WorstUninterruptibleGap(cfg, p), oracleWorstGap(cfg, p, pts, true); got != want {
-		return fmt.Errorf("WorstUninterruptibleGap = %d, walk %d", got, want)
+	if got, want := tab.WorstPointGap(), oracleWorstGap(cfg, p, pts, true); got != want {
+		return fmt.Errorf("WorstPointGap = %d, walk %d", got, want)
 	}
-	if got, want := interrupt.WorstLayerGap(cfg, p), oracleWorstGap(cfg, p, oracleLayerBoundaries(p), false); got != want {
+	if got, want := tab.WorstLayerGap(), oracleWorstGap(cfg, p, oracleLayerBoundaries(p), false); got != want {
 		return fmt.Errorf("WorstLayerGap = %d, walk %d", got, want)
 	}
 	var maxInstr uint64
@@ -318,6 +317,9 @@ func TestCostTableMatchesWalks(t *testing.T) {
 // TestCostPinnedDSLAM pins the derived bounds of the DSLAM programs to the
 // values the per-package walks returned before internal/cost replaced them
 // (captured at the parent commit): the table is a refactor, not a re-model.
+// The native (none) blocking column is accel.SoloReplay, the occupancy the
+// runtime simulates: the real-instruction cycles plus one fetch per virtual
+// instruction.
 func TestCostPinnedDSLAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the full DSLAM model set")
@@ -327,19 +329,20 @@ func TestCostPinnedDSLAM(t *testing.T) {
 		blocking                     [4]uint64 // none, VI, layer-by-layer, CPU-like
 	}
 	want := map[string]pin{
-		"FE/vi-every":    {8666, 10570, 117740, [4]uint64{241264, 10570, 117740, 111866}},
-		"FE/vi-budget":   {8666, 43385, 117740, [4]uint64{241264, 43385, 117740, 111866}},
-		"MAP/vi-every":   {12986, 15610, 259230, [4]uint64{585237, 15610, 259230, 114026}},
-		"MAP/vi-budget":  {12986, 64453, 259230, [4]uint64{585237, 64453, 259230, 114026}},
-		"LOOP/vi-every":  {6944, 4795, 143514, [4]uint64{569983, 4795, 143514, 111005}},
-		"LOOP/vi-budget": {6944, 19100, 143514, [4]uint64{569983, 19100, 143514, 111005}},
+		"FE/vi-every":    {8666, 10570, 117740, [4]uint64{241510, 10570, 117740, 111866}},
+		"FE/vi-budget":   {8666, 43385, 117740, [4]uint64{241278, 43385, 117740, 111866}},
+		"MAP/vi-every":   {12986, 15610, 259230, [4]uint64{585664, 15610, 259230, 114026}},
+		"MAP/vi-budget":  {12986, 64453, 259230, [4]uint64{585256, 64453, 259230, 114026}},
+		"LOOP/vi-every":  {6944, 4795, 143514, [4]uint64{570688, 4795, 143514, 111005}},
+		"LOOP/vi-budget": {6944, 19100, 143514, [4]uint64{570051, 19100, 143514, 111005}},
 	}
 	cfg := accel.Big()
 	for _, p := range dslamPrograms(t) {
+		tab := cost.NewTable(p, cfg)
 		got := pin{
 			watchdog: iau.WatchdogBound(cfg, p),
-			pointGap: interrupt.WorstUninterruptibleGap(cfg, p),
-			layerGap: interrupt.WorstLayerGap(cfg, p),
+			pointGap: tab.WorstPointGap(),
+			layerGap: tab.WorstLayerGap(),
 		}
 		for i, pol := range []iau.Policy{iau.PolicyNone, iau.PolicyVI, iau.PolicyLayerByLayer, iau.PolicyCPULike} {
 			b, err := sched.BlockingBound(cfg, p, pol)
@@ -382,10 +385,7 @@ func TestPreemptCostEstimateLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := interrupt.SoloCycles(cfg, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := accel.SoloReplay(cfg, victim, nil)
 
 	u := iau.New(cfg, iau.PolicyVI)
 	req := &iau.Request{Label: "victim", Prog: victim}
