@@ -86,7 +86,7 @@ vet:
 	$(GO) vet ./...
 
 # Custom static-analysis suite (determinism, traceguard, clockowner,
-# pairing, nodeprecated, lockdiscipline, boundtrust); see DESIGN.md §12 for
+# pairing, testonly, lockdiscipline, boundtrust); see DESIGN.md §12 for
 # the invariant each analyzer front-runs. lint fails the build on findings; lint-report prints the same
 # findings but always exits 0 (survey mode while fixing a violation sweep).
 lint:
@@ -117,7 +117,7 @@ progcheck:
 
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
-COVER_FLOOR ?= 81.0
+COVER_FLOOR ?= 81.8
 COVERPROFILE ?= out/cover.out
 cover:
 	@mkdir -p $(dir $(COVERPROFILE))

@@ -3,11 +3,19 @@
 // SuperPoint-style FE at top priority and GeM-style PR continuously, with
 // the CPU-side SLAM stack (VO, retrieval, map merging) on the deterministic
 // ROS middleware.
+//
+// Usage:
+//
+//	inca-dslam -duration 30s
+//	inca-dslam -duration 4s -chaos -trace out/dslam
+//	inca-dslam -policy layer -frames out/frames -map
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -19,29 +27,44 @@ import (
 )
 
 func main() {
-	var (
-		duration = flag.Duration("duration", 30*time.Second, "simulated mission time")
-		fps      = flag.Int("fps", 20, "camera frame rate")
-		camW     = flag.Int("cam-w", 128, "camera width (use 640 for paper scale)")
-		camH     = flag.Int("cam-h", 96, "camera height (use 480 for paper scale)")
-		policy   = flag.String("policy", "vi", "interrupt policy: none|vi|layer|cpu")
-		seed     = flag.Uint64("seed", 42, "world and noise seed")
-		verbose  = flag.Bool("v", false, "print every accepted PR match")
-		showMap  = flag.Bool("map", false, "render the arena and trajectories as ASCII")
-		frames   = flag.String("frames", "", "write sample rendered camera frames (PNG) to this directory")
-		traceOut = flag.String("trace", "", "write per-agent Perfetto traces to <prefix>.agentN.json (metrics beside each)")
-		traceCap = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		chaos       = flag.Bool("chaos", false, "run under deterministic fault injection with the recovery stack armed")
-		chaosSeed   = flag.Uint64("chaos-seed", 7, "fault injector seed")
-		corruptRate = flag.Float64("corrupt-rate", 0.02, "snapshot/backup bit-flip rate (with -chaos)")
-		stallRate   = flag.Float64("stall-rate", 0.02, "per-instruction stall rate (with -chaos)")
-		hangRate    = flag.Float64("hang-rate", 1e-5, "per-instruction hang rate (with -chaos)")
-		irqLostRate = flag.Float64("irq-lost-rate", 0.01, "lost preemption IRQ rate (with -chaos)")
-		msgDropRate = flag.Float64("msg-drop-rate", 0.002, "ROS delivery drop rate (with -chaos)")
-		maxRetries  = flag.Int("max-retries", 3, "resubmissions of a watchdog-killed inference (with -chaos)")
+func run(args []string, stdout, errw io.Writer) int {
+	fs := flag.NewFlagSet("inca-dslam", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		duration = fs.Duration("duration", 30*time.Second, "simulated mission time")
+		fps      = fs.Int("fps", 20, "camera frame rate")
+		camW     = fs.Int("cam-w", 128, "camera width (use 640 for paper scale)")
+		camH     = fs.Int("cam-h", 96, "camera height (use 480 for paper scale)")
+		policy   = fs.String("policy", "vi", "interrupt policy: none|vi|layer|cpu")
+		seed     = fs.Uint64("seed", 42, "world and noise seed")
+		verbose  = fs.Bool("v", false, "print every accepted PR match")
+		showMap  = fs.Bool("map", false, "render the arena and trajectories as ASCII")
+		frames   = fs.String("frames", "", "write sample rendered camera frames (PNG) to this directory")
+		traceOut = fs.String("trace", "", "write per-agent Perfetto traces to <prefix>.agentN.json (metrics beside each)")
+		traceCap = fs.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
+
+		chaos       = fs.Bool("chaos", false, "run under deterministic fault injection with the recovery stack armed")
+		chaosSeed   = fs.Uint64("chaos-seed", 7, "fault injector seed")
+		corruptRate = fs.Float64("corrupt-rate", 0.02, "snapshot/backup bit-flip rate (with -chaos)")
+		stallRate   = fs.Float64("stall-rate", 0.02, "per-instruction stall rate (with -chaos)")
+		hangRate    = fs.Float64("hang-rate", 1e-5, "per-instruction hang rate (with -chaos)")
+		irqLostRate = fs.Float64("irq-lost-rate", 0.01, "lost preemption IRQ rate (with -chaos)")
+		msgDropRate = fs.Float64("msg-drop-rate", 0.002, "ROS delivery drop rate (with -chaos)")
+		maxRetries  = fs.Int("max-retries", 3, "resubmissions of a watchdog-killed inference (with -chaos)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(format string, a ...interface{}) int {
+		fmt.Fprintf(errw, "inca-dslam: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg := slam.DefaultDSLAMConfig()
 	cfg.Duration = *duration
@@ -75,38 +98,36 @@ func main() {
 	case "cpu":
 		cfg.Policy = iau.PolicyCPULike
 	default:
-		fmt.Fprintf(os.Stderr, "inca-dslam: unknown policy %q\n", *policy)
-		os.Exit(1)
+		return fail("unknown policy %q", *policy)
 	}
 
-	fmt.Printf("DSLAM: %v @ %d fps, camera %dx%d, policy %v, seed %d\n",
+	fmt.Fprintf(stdout, "DSLAM: %v @ %d fps, camera %dx%d, policy %v, seed %d\n",
 		*duration, *fps, *camW, *camH, cfg.Policy, *seed)
 	res, err := slam.RunDSLAM(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "inca-dslam: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 
 	for i, a := range res.Agents {
-		fmt.Printf("\nagent %d:\n", i)
-		fmt.Printf("  camera frames     %d (FE done %d, dropped %d, deadline misses %d)\n",
+		fmt.Fprintf(stdout, "\nagent %d:\n", i)
+		fmt.Fprintf(stdout, "  camera frames     %d (FE done %d, dropped %d, deadline misses %d)\n",
 			a.Frames, a.FEDone, a.FEDropped, a.FEMisses)
-		fmt.Printf("  FE latency        mean %v, max %v\n", a.FEMeanLat.Round(time.Microsecond), a.FEMaxLat.Round(time.Microsecond))
-		fmt.Printf("  VO                tracked %d, lost %d, end drift %.2f m\n", a.VOTracked, a.VOLost, a.DriftEnd)
-		fmt.Printf("  PR                %d inferences (1 per %.1f frames), preempted %d times\n",
+		fmt.Fprintf(stdout, "  FE latency        mean %v, max %v\n", a.FEMeanLat.Round(time.Microsecond), a.FEMaxLat.Round(time.Microsecond))
+		fmt.Fprintf(stdout, "  VO                tracked %d, lost %d, end drift %.2f m\n", a.VOTracked, a.VOLost, a.DriftEnd)
+		fmt.Fprintf(stdout, "  PR                %d inferences (1 per %.1f frames), preempted %d times\n",
 			a.PRDone, a.PRMeanGapFrames, a.Preempts)
-		fmt.Printf("  accelerator       utilization %.0f%%, interrupt overhead %.3f%%\n",
+		fmt.Fprintf(stdout, "  accelerator       utilization %.0f%%, interrupt overhead %.3f%%\n",
 			100*a.Utilization, 100*a.Degradation)
 		if *chaos {
-			fmt.Printf("  recovery          %d corrupt restores detected, %d stalls, %d lost IRQs\n",
+			fmt.Fprintf(stdout, "  recovery          %d corrupt restores detected, %d stalls, %d lost IRQs\n",
 				a.CorruptedRestores, a.Stalls, a.LostIRQs)
-			fmt.Printf("                    %d watchdog kills -> %d retried, %d shed\n",
+			fmt.Fprintf(stdout, "                    %d watchdog kills -> %d retried, %d shed\n",
 				a.WatchdogKills, a.Retries, a.Shed)
 		}
 	}
 	if *chaos {
-		fmt.Printf("\n%s\n", res.Injected)
-		fmt.Printf("ros transport: %d dropped, %d delayed, %d duplicated\n",
+		fmt.Fprintf(stdout, "\n%s\n", res.Injected)
+		fmt.Fprintf(stdout, "ros transport: %d dropped, %d delayed, %d duplicated\n",
 			res.MsgFaults.Dropped, res.MsgFaults.Delayed, res.MsgFaults.Duplicated)
 	}
 
@@ -117,50 +138,47 @@ func main() {
 			}
 			path := fmt.Sprintf("%s.agent%d.json", *traceOut, i)
 			if err := trace.WriteFiles(tr, path, fmt.Sprintf("inca-dslam agent %d", i)); err != nil {
-				fmt.Fprintf(os.Stderr, "inca-dslam: %v\n", err)
-				os.Exit(1)
+				return fail("%v", err)
 			}
-			fmt.Printf("\nagent %d trace: %s (%d events, %d dropped), metrics %s\n",
+			fmt.Fprintf(stdout, "\nagent %d trace: %s (%d events, %d dropped), metrics %s\n",
 				i, path, len(tr.Events()), tr.Dropped(), trace.MetricsPath(path))
 		}
 	}
 
-	fmt.Printf("\nplace recognition: %d accepted cross-agent matches\n", len(res.Matches))
+	fmt.Fprintf(stdout, "\nplace recognition: %d accepted cross-agent matches\n", len(res.Matches))
 	if res.Merged() {
 		first := res.Matches[0]
-		fmt.Printf("maps merged at t=%v (similarity %.3f, %d feature matches)\n",
+		fmt.Fprintf(stdout, "maps merged at t=%v (similarity %.3f, %d feature matches)\n",
 			res.FirstMergeTime.Round(time.Millisecond), first.Similarity, first.Matches)
-		fmt.Printf("merge transform error: %.2f m / %.3f rad vs ground truth\n", first.ErrTrans, first.ErrRot)
+		fmt.Fprintf(stdout, "merge transform error: %.2f m / %.3f rad vs ground truth\n", first.ErrTrans, first.ErrRot)
 		if !math.IsNaN(res.MergedError) {
-			fmt.Printf("merged-map trajectory error: %.2f m (first match), %.2f m (refined over %d matches)\n",
+			fmt.Fprintf(stdout, "merged-map trajectory error: %.2f m (first match), %.2f m (refined over %d matches)\n",
 				res.MergedError, res.RefinedError, len(res.Matches))
 		}
 		if *verbose {
 			for i, m := range res.Matches {
-				fmt.Printf("  match %3d t=%v sim=%.3f support=%d errT=%.2fm errR=%.3f\n",
+				fmt.Fprintf(stdout, "  match %3d t=%v sim=%.3f support=%d errT=%.2fm errR=%.3f\n",
 					i, m.Stamp.Round(time.Millisecond), m.Similarity, m.Matches, m.ErrTrans, m.ErrRot)
 			}
 		}
 	} else {
-		fmt.Println("maps were not merged within the mission time")
+		fmt.Fprintln(stdout, "maps were not merged within the mission time")
 	}
 
 	if *frames != "" {
 		w := world.NewArena(*seed)
 		a0, _ := world.TwoAgentPatrol(w)
 		cam := world.DefaultCamera(*camW, *camH)
-		n := 0
-		for i := 0; i < 5; i++ {
+		const nFrames = 5
+		for i := 0; i < nFrames; i++ {
 			ts := time.Duration(i*4) * time.Second
 			obs := cam.Observe(w, 0, a0.PoseAt(ts), ts, *seed^0xCA11)
 			path := fmt.Sprintf("%s/agent0_t%02ds.png", *frames, i*4)
 			if err := world.WritePNG(cam.Render(obs), path); err != nil {
-				fmt.Fprintf(os.Stderr, "inca-dslam: writing %s: %v\n", path, err)
-				break
+				return fail("writing %s: %v", path, err)
 			}
-			n++
 		}
-		fmt.Printf("\nwrote %d camera frames to %s\n", n, *frames)
+		fmt.Fprintf(stdout, "\nwrote %d camera frames to %s\n", nFrames, *frames)
 	}
 
 	if *showMap {
@@ -190,6 +208,7 @@ func main() {
 				m.Track(est, '+')
 			}
 		}
-		fmt.Printf("\narena (a/b = true trajectories, + = merged estimate of b in a's map, O = pillars):\n%s", m)
+		fmt.Fprintf(stdout, "\narena (a/b = true trajectories, + = merged estimate of b in a's map, O = pillars):\n%s", m)
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package accel_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestEngineDetectsMissingRestore(t *testing.T) {
 	}
 	in := tensor.NewInt8(3, 12, 16)
 	tensor.FillPattern(in, 1)
-	if err := accel.WriteInput(arena, p, in); err != nil {
+	if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng := accel.NewEngine(cfg)
@@ -134,7 +135,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	in := tensor.NewInt8(3, 12, 16)
 	tensor.FillPattern(in, 1)
-	if err := accel.WriteInput(arena, p, in); err != nil {
+	if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 		t.Fatal(err)
 	}
 	run := func(snapshotAt int) *tensor.Int8 {
@@ -154,7 +155,7 @@ func TestSnapshotRestore(t *testing.T) {
 				t.Fatalf("exec %d: %v", i, err)
 			}
 		}
-		out, err := accel.ReadOutput(a, p)
+		out, err := accel.ReadOutputAt(a, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestSnapshotRestore(t *testing.T) {
 	base := run(-1)
 	// Snapshot/restore at several positions must be fully transparent.
 	for _, at := range []int{3, len(p.Instrs) / 2, len(p.Instrs) - 3} {
-		if !run(at).Equal(base) {
+		if !reflect.DeepEqual(run(at), base) {
 			t.Fatalf("snapshot/restore at %d changed the output", at)
 		}
 	}
@@ -199,7 +200,10 @@ func TestResourceEstimates(t *testing.T) {
 	if iau.LUT*10 > acc.LUT {
 		t.Errorf("IAU LUTs (%d) not small vs accelerator (%d)", iau.LUT, acc.LUT)
 	}
-	total := acc.Add(iau).Add(cfg.FEPostResources())
+	var total accel.Resources
+	for _, r := range []accel.Resources{acc, iau, cfg.FEPostResources()} {
+		total.DSP, total.LUT, total.FF, total.BRAM = total.DSP+r.DSP, total.LUT+r.LUT, total.FF+r.FF, total.BRAM+r.BRAM
+	}
 	if total.DSP > board.DSP || total.LUT > board.LUT || total.FF > board.FF || total.BRAM > board.BRAM {
 		t.Errorf("design does not fit the board: %v vs %v", total, board)
 	}

@@ -15,12 +15,6 @@ func NewArena(p *isa.Program) ([]byte, error) {
 	return isa.BuildLinkedArena([]*isa.Program{p})
 }
 
-// WriteInput copies an input activation (CHW int8) into the arena's input
-// region (batch element 0).
-func WriteInput(arena []byte, p *isa.Program, in *tensor.Int8) error {
-	return WriteInputAt(arena, p, in, 0)
-}
-
 // WriteInputAt copies an input activation (CHW int8) into batch element
 // bat's plane of the arena's input region; InputBytes is per-element, so
 // element b lives at InputAddr + b*InputBytes.
@@ -36,12 +30,6 @@ func WriteInputAt(arena []byte, p *isa.Program, in *tensor.Int8, bat int) error 
 		arena[base+i] = byte(v)
 	}
 	return nil
-}
-
-// ReadOutput extracts the final featuremap from the arena as a CHW tensor
-// (batch element 0).
-func ReadOutput(arena []byte, p *isa.Program) (*tensor.Int8, error) {
-	return ReadOutputAt(arena, p, 0)
 }
 
 // ReadOutputAt extracts batch element bat's final featuremap; OutputBytes is

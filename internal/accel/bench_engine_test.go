@@ -86,7 +86,7 @@ func benchSetup(b *testing.B, g *model.Network, cfg accel.Config) (*isa.Program,
 	}
 	in := tensor.NewInt8(g.InC, g.InH, g.InW)
 	tensor.FillPattern(in, 11)
-	if err := accel.WriteInput(arena, p, in); err != nil {
+	if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 		b.Fatal(err)
 	}
 	return p, arena

@@ -105,7 +105,7 @@ func execFull(t *testing.T, p *isa.Program, g *model.Network, cfg accel.Config, 
 	}
 	in := tensor.NewInt8(g.InC, g.InH, g.InW)
 	tensor.FillPattern(in, 42)
-	if err := accel.WriteInput(arena, p, in); err != nil {
+	if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng := accel.NewEngine(cfg)
@@ -216,7 +216,7 @@ func preemptRun(t *testing.T, policy iau.Policy, cfg accel.Config, victim, probe
 		}
 		in := tensor.NewInt8(g.InC, g.InH, g.InW)
 		tensor.FillPattern(in, seed)
-		if err := accel.WriteInput(arena, p, in); err != nil {
+		if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		return arena
@@ -308,7 +308,7 @@ func TestSnapshotRoundTripNoAlloc(t *testing.T) {
 	}
 	in := tensor.NewInt8(3, 12, 16)
 	tensor.FillPattern(in, 1)
-	if err := accel.WriteInput(arena, p, in); err != nil {
+	if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng := accel.NewEngine(cfg)

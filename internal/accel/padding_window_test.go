@@ -1,6 +1,7 @@
 package accel_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -50,7 +51,7 @@ func TestEmptyWindowTileSurvivesRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(arena, p, in); err != nil {
+		if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		eng := accel.NewEngine(cfg)
@@ -87,7 +88,7 @@ func TestEmptyWindowTileSurvivesRestore(t *testing.T) {
 				t.Fatalf("interrupt@%d: pc %d %v: %v", interruptAt, i, ins, err)
 			}
 		}
-		out, err := accel.ReadOutput(arena, p)
+		out, err := accel.ReadOutputAt(arena, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestEmptyWindowTileSurvivesRestore(t *testing.T) {
 		t.Fatal("no interrupt points in the compiled stream")
 	}
 	for _, pt := range pts {
-		if got := run(pt); !got.Equal(want) {
+		if got := run(pt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("interrupt at pc %d changed the output", pt)
 		}
 	}

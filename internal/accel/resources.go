@@ -15,11 +15,6 @@ type Resources struct {
 	BRAM int
 }
 
-// Add sums resource vectors.
-func (r Resources) Add(o Resources) Resources {
-	return Resources{DSP: r.DSP + o.DSP, LUT: r.LUT + o.LUT, FF: r.FF + o.FF, BRAM: r.BRAM + o.BRAM}
-}
-
 func (r Resources) String() string {
 	return fmt.Sprintf("DSP %d, LUT %d, FF %d, BRAM %d", r.DSP, r.LUT, r.FF, r.BRAM)
 }

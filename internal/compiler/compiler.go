@@ -75,13 +75,6 @@ type Options struct {
 	WeightBufBytes int
 }
 
-// BigAccel mirrors the paper's large Angel-Eye configuration
-// (Para_in=16, Para_out=16, Para_height=8).
-func BigAccel() Options { return Options{ParaIn: 16, ParaOut: 16, ParaHeight: 8} }
-
-// SmallAccel mirrors the paper's small configuration (8, 8, 4).
-func SmallAccel() Options { return Options{ParaIn: 8, ParaOut: 8, ParaHeight: 4} }
-
 // loweredLayer couples the ISA layer table entry with compile-time-only
 // details (source graph index, parameters, input lowered-layer links).
 type loweredLayer struct {
@@ -195,9 +188,6 @@ func lower(q *quant.Network) ([]loweredLayer, error) {
 			p := q.Params[i]
 			if p == nil {
 				return nil, fmt.Errorf("compiler: conv layer %s has no quantized parameters", l.Name)
-			}
-			if p.ChannelShift != nil {
-				return nil, fmt.Errorf("compiler: layer %s uses per-channel quantization; the shift-only requantizer is per-layer (use Quantize, not QuantizePerChannel)", l.Name)
 			}
 			outH, outW, fp := convH, convW, 0
 			if l.FusedPool > 1 {

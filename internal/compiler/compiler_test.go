@@ -11,6 +11,10 @@ import (
 	"inca/internal/quant"
 )
 
+// bigAccel is the paper's large Angel-Eye parallelism (16, 16, 8) with no
+// cost model and no self-check.
+func bigAccel() compiler.Options { return compiler.Options{ParaIn: 16, ParaOut: 16, ParaHeight: 8} }
+
 func compile(t *testing.T, g *model.Network, opt compiler.Options) *isa.Program {
 	t.Helper()
 	q, err := quant.Synthesize(g, 11)
@@ -33,7 +37,7 @@ func TestStripVirtualEqualsPlainCompile(t *testing.T) {
 		model.NewMobileNetTiny(),
 		model.NewPoolNet(),
 	} {
-		opt := compiler.BigAccel()
+		opt := bigAccel()
 		opt.BlobsPerSave = 2
 		plain := compile(t, g, opt)
 		opt.VI = compiler.VIEvery{}
@@ -55,7 +59,7 @@ func TestStripVirtualEqualsPlainCompile(t *testing.T) {
 // followed by a Vir_LOAD_D (or ends the program); virtual instructions
 // appear nowhere else.
 func TestVIPassPositions(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.VI = compiler.VIEvery{}
 	opt.BlobsPerSave = 2
 	p := compile(t, model.NewResNetTiny(), opt)
@@ -95,7 +99,7 @@ func TestVIPassPositions(t *testing.T) {
 // CALC_I precede the single CALC_F, and each blob of a conv layer begins
 // with its LOAD_W.
 func TestCalcBlobStructure(t *testing.T) {
-	opt := compiler.SmallAccel()
+	opt := compiler.Options{ParaIn: 8, ParaOut: 8, ParaHeight: 4}
 	p := compile(t, model.NewTinyCNN(3, 24, 32), opt)
 	ins := p.Instrs
 	for i, in := range ins {
@@ -126,7 +130,7 @@ func TestCalcBlobStructure(t *testing.T) {
 // channel of every tile exactly once.
 func TestSaveCoverage(t *testing.T) {
 	for _, bps := range []int{1, 2, 3, 0} {
-		opt := compiler.BigAccel()
+		opt := bigAccel()
 		opt.ParaIn, opt.ParaOut, opt.ParaHeight = 4, 4, 3
 		opt.BlobsPerSave = bps
 		p := compile(t, model.NewResNetTiny(), opt)
@@ -162,7 +166,7 @@ func TestSaveCoverage(t *testing.T) {
 // TestLoadCoverage: LOAD_D row ranges of each layer cover the full input
 // height without gaps (delta loads chain correctly).
 func TestLoadCoverage(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.ParaIn, opt.ParaOut, opt.ParaHeight = 4, 4, 3
 	p := compile(t, model.NewResNetTiny(), opt)
 	covered := make(map[uint16]map[int]bool)
@@ -194,7 +198,7 @@ func TestLoadCoverage(t *testing.T) {
 }
 
 func TestBufferCheckRejectsTinyBuffers(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.InputBufBytes = 64
 	q, err := quant.Synthesize(model.NewTinyCNN(3, 24, 32), 1)
 	if err != nil {
@@ -206,7 +210,7 @@ func TestBufferCheckRejectsTinyBuffers(t *testing.T) {
 }
 
 func TestWeightBlobAddressing(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.ParaIn, opt.ParaOut, opt.ParaHeight = 4, 4, 3
 	opt.EmitWeights = true
 	p := compile(t, model.NewTinyCNN(3, 24, 32), opt)
@@ -249,7 +253,7 @@ func TestRandomNetworksCompile(t *testing.T) {
 			}
 			cur = g.Conv("c", cur, outC, k, stride, pad, r.Intn(2) == 0)
 		}
-		if g.NumConvLayers() == 0 {
+		if specs, _ := g.ConvSpecs(); len(specs) == 0 {
 			return true
 		}
 		q, err := quant.Synthesize(g, uint64(seed))
@@ -267,7 +271,10 @@ func TestRandomNetworksCompile(t *testing.T) {
 		// Every program with more than one CalcBlob or SAVE window has
 		// interior interrupt points; a single-blob program legitimately has
 		// none (its only boundary is completion).
-		ops := p.CountOps()
+		ops := make(map[isa.Op]int)
+		for _, in := range p.Instrs {
+			ops[in.Op]++
+		}
 		if ops[isa.OpSave] > 1 || ops[isa.OpCalcF] > 1 {
 			return len(p.InterruptPoints()) > 0
 		}

@@ -171,16 +171,11 @@ func checkBuffers(prog *isa.Program, opt Options) error {
 	return nil
 }
 
-// LayerBufferNeeds returns the worst-case on-chip bytes a layer needs in the
-// input, output, and weight buffers for a single-image plan.
-func LayerBufferNeeds(l *isa.LayerInfo, paraOut, paraHeight int) (in, out, weights int) {
-	return LayerBufferNeedsBatch(l, paraOut, paraHeight, 1)
-}
-
-// LayerBufferNeedsBatch is LayerBufferNeeds for a batched plan: the input
-// buffer holds one resident row window per batch element (so weights loaded
-// once per tile serve all of them), while the output tile and weight blob
-// are per-element/per-group and do not scale with the batch.
+// LayerBufferNeedsBatch returns the worst-case on-chip bytes a layer needs
+// in the input, output, and weight buffers for a plan of batch images: the
+// input buffer holds one resident row window per batch element (so weights
+// loaded once per tile serve all of them), while the output tile and weight
+// blob are per-element/per-group and do not scale with the batch.
 func LayerBufferNeedsBatch(l *isa.LayerInfo, paraOut, paraHeight, batch int) (in, out, weights int) {
 	if batch < 1 {
 		batch = 1

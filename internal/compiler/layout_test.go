@@ -18,7 +18,7 @@ import (
 // TestWeightBlobOffsets: blob addresses must tile the weight region exactly
 // — contiguous, non-overlapping, in out-group order.
 func TestWeightBlobOffsets(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.ParaIn, opt.ParaOut, opt.ParaHeight = 4, 4, 3
 	opt.EmitWeights = true
 	g := model.New("wb", 3, 12, 16)
@@ -68,8 +68,8 @@ func TestLayerBufferNeeds(t *testing.T) {
 		Op: isa.LayerAdd, InC: 8, InH: 16, InW: 16,
 		OutC: 8, OutH: 16, OutW: 16, KH: 1, KW: 1, Stride: 1, Groups: 1,
 	}
-	inConv, _, wConv := compiler.LayerBufferNeeds(conv, 4, 4)
-	inAdd, _, wAdd := compiler.LayerBufferNeeds(add, 4, 4)
+	inConv, _, wConv := compiler.LayerBufferNeedsBatch(conv, 4, 4, 1)
+	inAdd, _, wAdd := compiler.LayerBufferNeedsBatch(add, 4, 4, 1)
 	if inAdd <= inConv {
 		t.Errorf("Add input need %d not above conv %d (two operands)", inAdd, inConv)
 	}
@@ -79,8 +79,8 @@ func TestLayerBufferNeeds(t *testing.T) {
 	fused := *conv
 	fused.FusedPool = 2
 	fused.OutH, fused.OutW = 8, 8
-	_, outPlain, _ := compiler.LayerBufferNeeds(conv, 4, 4)
-	_, outFused, _ := compiler.LayerBufferNeeds(&fused, 4, 4)
+	_, outPlain, _ := compiler.LayerBufferNeedsBatch(conv, 4, 4, 1)
+	_, outFused, _ := compiler.LayerBufferNeedsBatch(&fused, 4, 4, 1)
 	if outFused <= outPlain/2 {
 		t.Errorf("fused-pool accumulator demand %d suspiciously small vs plain %d", outFused, outPlain)
 	}
@@ -98,14 +98,14 @@ func TestCompileErrors(t *testing.T) {
 	}
 	// Remove a conv layer's params.
 	delete(q.Params, 1)
-	if _, err := compiler.Compile(q, compiler.BigAccel()); err == nil {
+	if _, err := compiler.Compile(q, bigAccel()); err == nil {
 		t.Error("missing parameters accepted")
 	}
 }
 
 // TestStatsString renders without panicking and carries the op counts.
 func TestStatsString(t *testing.T) {
-	opt := compiler.BigAccel()
+	opt := bigAccel()
 	opt.VI = compiler.VIEvery{}
 	g := model.NewTinyCNN(3, 24, 32)
 	q, err := quant.Synthesize(g, 1)
@@ -212,7 +212,7 @@ func TestWeightLayoutPins(t *testing.T) {
 	}{
 		{partial, small},
 		{model.NewMobileNetTiny(), small},
-		{model.NewMobileNetV1(3, 32, 32), compiler.BigAccel()},
+		{model.NewMobileNetV1(3, 32, 32), bigAccel()},
 	} {
 		q, err := quant.Synthesize(tc.g, 5)
 		if err != nil {
@@ -282,7 +282,7 @@ func TestTimingOnlyCompileStillValidatesParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := compiler.BigAccel()
+		opt := bigAccel()
 		opt.EmitWeights = emit
 		q.Params[1].Bias = q.Params[1].Bias[1:]
 		if _, err := compiler.Compile(q, opt); err == nil || !strings.Contains(err.Error(), "bias length") {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -55,7 +56,7 @@ func TestInferBatchMatchesPerElement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !outs[b].Equal(want) {
+		if !reflect.DeepEqual(outs[b], want) {
 			t.Fatalf("batch element %d differs from single-image reference", b)
 		}
 	}

@@ -160,21 +160,6 @@ func (rt *Runtime) DeployBatched(slot int, g *model.Network, seed uint64, batch 
 	if err != nil {
 		return nil, err
 	}
-	return rt.deployQuantizedBatch(slot, g.Name, q, batch)
-}
-
-// DeployQuantized compiles an already-quantized network for the slot.
-func (rt *Runtime) DeployQuantized(slot int, q *quant.Network) (*Deployment, error) {
-	if slot < 0 || slot >= iau.NumSlots {
-		return nil, fmt.Errorf("core: slot %d out of range [0,%d)", slot, iau.NumSlots)
-	}
-	if rt.deployments[slot] != nil {
-		return nil, fmt.Errorf("core: slot %d already bound to %q", slot, rt.deployments[slot].Name)
-	}
-	return rt.deployQuantizedBatch(slot, q.Graph.Name, q, 1)
-}
-
-func (rt *Runtime) deployQuantizedBatch(slot int, name string, q *quant.Network, batch int) (*Deployment, error) {
 	opt := rt.Cfg.CompilerOptions()
 	opt.VI = compiler.VIIf(rt.Policy == iau.PolicyVI && slot > 0)
 	opt.Batch = batch
@@ -184,16 +169,13 @@ func (rt *Runtime) deployQuantizedBatch(slot int, name string, q *quant.Network,
 	opt.EmitWeights = true
 	p, err := compiler.Compile(q, opt)
 	if err != nil {
-		return nil, fmt.Errorf("core: compiling %q: %w", name, err)
+		return nil, fmt.Errorf("core: compiling %q: %w", g.Name, err)
 	}
-	d := &Deployment{Name: name, Slot: slot, Prog: p, rt: rt}
+	d := &Deployment{Name: g.Name, Slot: slot, Prog: p, rt: rt}
 	rt.deployments[slot] = d
-	rt.U.Tracer.SetTaskLabel(slot, name)
+	rt.U.Tracer.SetTaskLabel(slot, g.Name)
 	return d, nil
 }
-
-// Deployment returns the deployment bound to a slot, or nil.
-func (rt *Runtime) Deployment(slot int) *Deployment { return rt.deployments[slot] }
 
 // AttachROS couples the runtime to a middleware instance: the accelerator
 // timeline advances with virtual time and completions are delivered as

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,18 +32,14 @@ func TestDeploySlotRules(t *testing.T) {
 	if _, err := rt.Deploy(iau.NumSlots, g, 1); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	d, err := rt.Deploy(1, g, 1)
-	if err != nil {
+	if _, err := rt.Deploy(1, g, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Deploy(1, g, 2); err == nil {
 		t.Error("double-binding a slot accepted")
 	}
-	if rt.Deployment(1) != d {
-		t.Error("Deployment(1) does not return the binding")
-	}
-	if rt.Deployment(2) != nil {
-		t.Error("unbound slot returns a deployment")
+	if d, err := rt.Deploy(2, g, 2); err != nil || d.Slot != 2 {
+		t.Errorf("binding a free slot: %v, %v", d, err)
 	}
 }
 
@@ -84,27 +81,47 @@ func TestInferSyncTiming(t *testing.T) {
 	}
 }
 
-func TestDeployQuantizedAndFunctionalInferSync(t *testing.T) {
-	rt, err := core.NewRuntime(accel.Big(), iau.PolicyVI)
+// TestDeployFunctionalInferSync: a deployment embeds its weight image, so
+// InferSync over a fresh arena computes the network bit-exactly — the same
+// output as the quantized reference of the network Deploy synthesized.
+func TestDeployFunctionalInferSync(t *testing.T) {
+	rt := newRuntime(t)
+	g := model.NewTinyCNN(3, 16, 16)
+	d, err := rt.Deploy(1, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := model.NewTinyCNN(3, 16, 16)
+	in := tensor.NewInt8(g.InC, g.InH, g.InW)
+	tensor.FillPattern(in, 11)
+	arena, err := accel.NewArena(d.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := accel.WriteInputAt(arena, d.Prog, in, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.InferSync(arena); err != nil {
+		t.Fatal(err)
+	}
+	got, err := accel.ReadOutputAt(arena, d.Prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q, err := quant.Synthesize(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := rt.DeployQuantized(1, q)
+	want, err := q.RunFinal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deployment compiles timing-only (no weights): functional arenas
-	// are built by callers who compiled with EmitWeights; nil arena must
-	// still run.
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("functional InferSync output differs from the quantized reference")
+	}
+	// A nil arena still runs timing-only.
 	if _, err := d.InferSync(nil); err != nil {
 		t.Fatal(err)
 	}
-	_ = tensor.NewInt8(1)
 }
 
 func TestAttachROSAndInferAsync(t *testing.T) {

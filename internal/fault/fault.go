@@ -46,11 +46,6 @@ const (
 	SiteMsgDup Site = "ros.msg.dup"
 )
 
-// Sites lists every named site in deterministic order.
-func Sites() []Site {
-	return []Site{SiteBackup, SiteStall, SiteHang, SiteIRQLost, SiteMsgDrop, SiteMsgDelay, SiteMsgDup}
-}
-
 // SiteStats counts one site's activity.
 type SiteStats struct {
 	Site  Site
@@ -147,13 +142,6 @@ func (j *Injector) Pick(site Site, n uint64) uint64 {
 	defer j.mu.Unlock()
 	// Key on the hit count so each injected fault picks afresh.
 	return mix(j.seed^siteKey(site)^0x9e3779b97f4a7c15, j.hits[site]) % n
-}
-
-// Hits returns how many faults the site has injected.
-func (j *Injector) Hits(site Site) uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.hits[site]
 }
 
 // Report snapshots per-site draw/hit counts.

@@ -96,15 +96,18 @@ func Run(p *isa.Program, arena []byte) error {
 	return nil
 }
 
-// RunNet builds a fresh arena for the program, writes the input featuremap,
-// runs the stream, and returns the arena.
-func RunNet(p *isa.Program, input *tensor.Int8) ([]byte, error) {
+// RunNet builds a fresh arena for the program, writes input b into batch
+// element b's plane, runs the stream, and returns the arena: the expected
+// DDR image of an uninterrupted run.
+func RunNet(p *isa.Program, inputs ...*tensor.Int8) ([]byte, error) {
 	arena, err := accel.NewArena(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := accel.WriteInput(arena, p, input); err != nil {
-		return nil, err
+	for b, in := range inputs {
+		if err := accel.WriteInputAt(arena, p, in, b); err != nil {
+			return nil, err
+		}
 	}
 	if err := Run(p, arena); err != nil {
 		return nil, err

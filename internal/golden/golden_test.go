@@ -63,7 +63,7 @@ func TestGoldenMatchesNetworkReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (vi=%v): golden run: %v", g.Name, vi, err)
 			}
-			got, err := accel.ReadOutput(arena, p)
+			got, err := accel.ReadOutputAt(arena, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestGoldenMatchesEngineArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(got, p, in); err != nil {
+		if err := accel.WriteInputAt(got, p, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		eng := accel.NewEngine(cfg)

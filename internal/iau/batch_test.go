@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -63,15 +64,15 @@ func checkBatchOutputs(t *testing.T, arena []byte, p *isa.Program, vq *quant.Net
 		if err != nil {
 			t.Fatalf("read output %d: %v", b, err)
 		}
-		if !got.Equal(want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch element %d differs from single-image reference", b)
 		}
 	}
 }
 
 // TestMidBatchParkTokenAndMigration: a batched victim preempted between
-// batch elements parks at a VI interrupt point whose ResumeToken carries the
-// batch index; injecting the token into a different slot resumes exactly the
+// batch elements parks at a VI interrupt point inside the batch iteration;
+// injecting its ResumeToken into a different slot resumes exactly the
 // remaining elements and every output plane stays bit-exact.
 func TestMidBatchParkTokenAndMigration(t *testing.T) {
 	cfg := accel.Big()
@@ -91,9 +92,10 @@ func TestMidBatchParkTokenAndMigration(t *testing.T) {
 	tensor.FillPattern(pin, 6)
 
 	// Walk the preemption boundary across the victim's runtime until one
-	// parks between batch elements (BatchIndex > 0): batched plans place an
-	// interrupt point after every per-element SAVE, so mid-batch parks are
-	// the common case, but early boundaries can land on an out-group edge.
+	// parks between batch elements (resumes on element > 0): batched plans
+	// place an interrupt point after every per-element SAVE, so mid-batch
+	// parks are the common case, but early boundaries can land on an
+	// out-group edge.
 	migrated := false
 	for off := uint64(800); off < 60_000 && !migrated; off += 977 {
 		varena2 := append([]byte(nil), varena...)
@@ -106,17 +108,19 @@ func TestMidBatchParkTokenAndMigration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(parena, pp, pin); err != nil {
+		if err := accel.WriteInputAt(parena, pp, pin, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := u.SubmitAt(0, &iau.Request{Label: "p", Prog: pp, Arena: parena}, off); err != nil {
 			t.Fatal(err)
 		}
 		var tok *iau.ResumeToken
+		bat := 0
 		u.OnPreempt = func(pr *iau.Preemption) {
 			if tok != nil {
 				return
 			}
+			bat = resumeBatch(vp, pr.VictimPC)
 			st, err := u.StealPreempted(pr.Victim)
 			if err != nil {
 				t.Fatalf("steal: %v", err)
@@ -129,7 +133,7 @@ func TestMidBatchParkTokenAndMigration(t *testing.T) {
 		if err := u.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-		if tok == nil || tok.BatchIndex() == 0 {
+		if tok == nil || bat == 0 {
 			continue // parked at an element-0 boundary; try the next offset
 		}
 		migrated = true
@@ -141,6 +145,17 @@ func TestMidBatchParkTokenAndMigration(t *testing.T) {
 	if !migrated {
 		t.Fatal("no preemption parked between batch elements across the offset sweep")
 	}
+}
+
+// resumeBatch is the batch element a victim parked at pc resumes on: the Bat
+// field of the first real (non-virtual) instruction at or after pc.
+func resumeBatch(p *isa.Program, pc int) int {
+	for ; pc < len(p.Instrs) && p.Instrs[pc].Op != isa.OpEnd; pc++ {
+		if !p.Instrs[pc].Op.Virtual() {
+			return int(p.Instrs[pc].Bat)
+		}
+	}
+	return 0
 }
 
 // TestMidBatchCorruptSnapshotRecoversBitExact: with every CPU-like snapshot
@@ -178,7 +193,7 @@ func TestMidBatchCorruptSnapshotRecoversBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(parena, pp, pin); err != nil {
+		if err := accel.WriteInputAt(parena, pp, pin, 0); err != nil {
 			t.Fatal(err)
 		}
 		at := u.Now + 1200 + uint64(i*191)

@@ -107,7 +107,7 @@ func BenchmarkFunctionalInference(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := accel.WriteInput(arena, p, input); err != nil {
+				if err := accel.WriteInputAt(arena, p, input, 0); err != nil {
 					b.Fatal(err)
 				}
 				u := iau.New(wcfg, iau.PolicyNone)

@@ -2,6 +2,7 @@ package iau_test
 
 import (
 	"fmt"
+	"reflect"
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
@@ -49,7 +50,7 @@ func Example_quickstart() {
 	// urgent task (about 27k cycles alone) fired at it every 30k cycles.
 	arena, err := accel.NewArena(bgProg)
 	check(err)
-	check(accel.WriteInput(arena, bgProg, input))
+	check(accel.WriteInputAt(arena, bgProg, input, 0))
 	u := iau.New(cfg, iau.PolicyVI)
 	check(u.Submit(1, &iau.Request{Label: "background", Prog: bgProg, Arena: arena}))
 	for i := 0; i < 6; i++ {
@@ -57,20 +58,20 @@ func Example_quickstart() {
 		check(err)
 		uin := tensor.NewInt8(urgent.InC, urgent.InH, urgent.InW)
 		tensor.FillPattern(uin, uint64(i))
-		check(accel.WriteInput(ua, urgProg, uin))
+		check(accel.WriteInputAt(ua, urgProg, uin, 0))
 		check(u.SubmitAt(0, &iau.Request{Label: "urgent", Prog: urgProg, Arena: ua}, uint64(2000+30000*i)))
 	}
 	check(u.RunAll())
 
 	// The background task was preempted — and its output is identical.
-	got, err := accel.ReadOutput(arena, bgProg)
+	got, err := accel.ReadOutputAt(arena, bgProg, 0)
 	check(err)
 	fmt.Printf("preemptions suffered by the background task: %d\n", len(u.Preemptions))
 	for i, p := range u.Preemptions {
 		fmt.Printf("  #%d at layer %-12s latency %5.1f us  backup %5d B  restore %5d B\n",
 			i, p.VictimLayer, cfg.CyclesToMicros(p.Latency()), p.BackupBytes, p.ResumeBytes)
 	}
-	fmt.Println("bit-exact versus the uninterrupted software reference:", got.Equal(want))
+	fmt.Println("bit-exact versus the uninterrupted software reference:", reflect.DeepEqual(got, want))
 	// Output:
 	// preemptions suffered by the background task: 4
 	//   #0 at layer conv1        latency   0.8 us  backup   288 B  restore   360 B

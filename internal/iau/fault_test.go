@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestCorruptRestoreRecoversBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := accel.WriteInput(varena, vp, vin); err != nil {
+			if err := accel.WriteInputAt(varena, vp, vin, 0); err != nil {
 				t.Fatal(err)
 			}
 
@@ -64,7 +65,7 @@ func TestCorruptRestoreRecoversBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := accel.WriteInput(parena, pp, pin); err != nil {
+				if err := accel.WriteInputAt(parena, pp, pin, 0); err != nil {
 					t.Fatal(err)
 				}
 				at := u.Now + 1500 + uint64(i*137)
@@ -90,11 +91,11 @@ func TestCorruptRestoreRecoversBitExact(t *testing.T) {
 			if vr.Restarts != vr.Corrupted {
 				t.Errorf("%d corruptions but %d restarts", vr.Corrupted, vr.Restarts)
 			}
-			got, err := accel.ReadOutput(varena, vp)
+			got, err := accel.ReadOutputAt(varena, vp, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatal("recovered execution differs from fault-free reference")
 			}
 		})

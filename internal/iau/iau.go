@@ -923,32 +923,6 @@ type ResumeToken struct {
 	consumed bool
 }
 
-// Checksum returns the token's recorded backup CRC32-C and whether one was
-// computed (fault injection armed and a data-bearing backup existed).
-func (tok *ResumeToken) Checksum() (uint32, bool) { return tok.backupCRC, tok.crcValid }
-
-// BatchIndex returns the batch element the parked request will resume on:
-// the Bat field of the first real (non-virtual) instruction at or after the
-// token's resume PC. Zero for single-image plans; for batched plans it
-// exposes where inside the batch iteration the preemption parked the task
-// (schedulers migrating work can use it to estimate remaining per-element
-// progress).
-func (tok *ResumeToken) BatchIndex() int {
-	if tok.Req == nil || tok.Req.Prog == nil {
-		return 0
-	}
-	ins := tok.Req.Prog.Instrs
-	for pc := tok.pc; pc >= 0 && pc < len(ins); pc++ {
-		if ins[pc].Op == isa.OpEnd {
-			return 0
-		}
-		if !ins[pc].Op.Virtual() {
-			return int(ins[pc].Bat)
-		}
-	}
-	return 0
-}
-
 // Registers is the architectural per-slot register view of Fig. 3: the
 // instruction pointer, the SAVE-rewrite status registers, and the slot's
 // scheduling state. Exposed for debugging and the inca-sim inspector.

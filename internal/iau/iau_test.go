@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -35,7 +36,7 @@ func runOnce(t *testing.T, cfg accel.Config, policy iau.Policy, p *isa.Program, 
 	if err != nil {
 		t.Fatalf("arena: %v", err)
 	}
-	if err := accel.WriteInput(arena, p, input); err != nil {
+	if err := accel.WriteInputAt(arena, p, input, 0); err != nil {
 		t.Fatalf("write input: %v", err)
 	}
 	u := iau.New(cfg, policy)
@@ -45,7 +46,7 @@ func runOnce(t *testing.T, cfg accel.Config, policy iau.Policy, p *isa.Program, 
 	if err := u.RunAll(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	out, err := accel.ReadOutput(arena, p)
+	out, err := accel.ReadOutputAt(arena, p, 0)
 	if err != nil {
 		t.Fatalf("read output: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestFunctionalMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			if !got.Equal(want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("accelerator output differs from reference (shape %v vs %v)", got.Shape, want.Shape)
 			}
 		})
@@ -112,7 +113,7 @@ func TestPreemptionBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("arena: %v", err)
 			}
-			if err := accel.WriteInput(varena, vp, vin); err != nil {
+			if err := accel.WriteInputAt(varena, vp, vin, 0); err != nil {
 				t.Fatal(err)
 			}
 
@@ -127,7 +128,7 @@ func TestPreemptionBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := accel.WriteInput(parena, pp, pin); err != nil {
+				if err := accel.WriteInputAt(parena, pp, pin, 0); err != nil {
 					t.Fatal(err)
 				}
 				at := uint64(1000 + i*40000)
@@ -141,11 +142,11 @@ func TestPreemptionBitExact(t *testing.T) {
 			if len(u.Preemptions) == 0 {
 				t.Fatalf("scenario produced no preemptions; timing assumptions broken")
 			}
-			got, err := accel.ReadOutput(varena, vp)
+			got, err := accel.ReadOutputAt(varena, vp, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("preempted output differs from reference after %d preemptions", len(u.Preemptions))
 			}
 			if len(u.Completions) != 9 {

@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -57,10 +58,10 @@ func TestLinkedMultiTenantArena(t *testing.T) {
 	tensor.FillPattern(inHi, 1)
 	inLo := tensor.NewInt8(gLo.InC, gLo.InH, gLo.InW)
 	tensor.FillPattern(inLo, 2)
-	if err := accel.WriteInput(arena, linked[0], inHi); err != nil {
+	if err := accel.WriteInputAt(arena, linked[0], inHi, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := accel.WriteInput(arena, linked[1], inLo); err != nil {
+	if err := accel.WriteInputAt(arena, linked[1], inLo, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,18 +90,18 @@ func TestLinkedMultiTenantArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHi, err := accel.ReadOutput(arena, linked[0])
+	gotHi, err := accel.ReadOutputAt(arena, linked[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLo, err := accel.ReadOutput(arena, linked[1])
+	gotLo, err := accel.ReadOutputAt(arena, linked[1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotHi.Equal(wantHi) {
+	if !reflect.DeepEqual(gotHi, wantHi) {
 		t.Error("high-priority tenant output corrupted in the shared arena")
 	}
-	if !gotLo.Equal(wantLo) {
+	if !reflect.DeepEqual(gotLo, wantLo) {
 		t.Error("low-priority tenant output corrupted in the shared arena")
 	}
 }

@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -70,14 +71,14 @@ func TestNoParkOnMidGroupRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(arena, victim, in); err != nil {
+		if err := accel.WriteInputAt(arena, victim, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		parena, err := accel.NewArena(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(parena, probe, probeIn); err != nil {
+		if err := accel.WriteInputAt(parena, probe, probeIn, 0); err != nil {
 			t.Fatal(err)
 		}
 		u := iau.New(cfg, iau.PolicyVI)
@@ -99,11 +100,11 @@ func TestNoParkOnMidGroupRestore(t *testing.T) {
 				t.Fatalf("victim parked at mid-group restore pc %d", at)
 			}
 		}
-		got, err := accel.ReadOutput(arena, victim)
+		got, err := accel.ReadOutputAt(arena, victim, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("probe at mid-group pc %d changed the victim's output", pc)
 		}
 		u.Eng.Close()

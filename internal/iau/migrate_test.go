@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -29,7 +30,7 @@ func TestMigrationBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := accel.WriteInput(arena, victim, input); err != nil {
+	if err := accel.WriteInputAt(arena, victim, input, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,11 +71,11 @@ func TestMigrationBitExact(t *testing.T) {
 	if len(b.Completions) != 1 || b.Completions[0].Req.Label != "victim" {
 		t.Fatalf("victim did not complete on core B: %+v", b.Completions)
 	}
-	got, err := accel.ReadOutput(arena, victim)
+	got, err := accel.ReadOutputAt(arena, victim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("migrated execution differs from the reference output")
 	}
 }

@@ -187,7 +187,7 @@ func (s *oracleSet) request(t *testing.T, label string, p *isa.Program, function
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(arena, p, s.inputs[p]); err != nil {
+		if err := accel.WriteInputAt(arena, p, s.inputs[p], 0); err != nil {
 			t.Fatal(err)
 		}
 		r.Arena = arena
@@ -316,7 +316,7 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 	obs.Timeline = u.Trace
 	if tr != nil {
 		var buf bytes.Buffer
-		if err := tr.WritePerfetto(&buf); err != nil {
+		if err := tr.WritePerfettoNamed(&buf, "inca accelerator"); err != nil {
 			t.Fatalf("%v: perfetto: %v", sc, err)
 		}
 		if err := tr.Metrics().WriteJSON(&buf); err != nil {

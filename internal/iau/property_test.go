@@ -2,6 +2,7 @@ package iau_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -53,7 +54,7 @@ func randomNetwork(r *rand.Rand) *model.Network {
 			cur = g.MaxPool("p", cur, 2, 2)
 		}
 	}
-	if g.NumConvLayers() == 0 {
+	if specs, _ := g.ConvSpecs(); len(specs) == 0 {
 		g.Conv("fallback", cur, 4, 3, 1, 1, true)
 	}
 	return g
@@ -117,7 +118,7 @@ func TestPropertyPreemptionBitExact(t *testing.T) {
 			t.Logf("seed %d: arena: %v", seed, err)
 			return false
 		}
-		if err := accel.WriteInput(arena, p, input); err != nil {
+		if err := accel.WriteInputAt(arena, p, input, 0); err != nil {
 			return false
 		}
 		u := iau.New(cfg, pol)
@@ -133,7 +134,7 @@ func TestPropertyPreemptionBitExact(t *testing.T) {
 			}
 			pin := tensor.NewInt8(1, 6, 6)
 			tensor.FillPattern(pin, uint64(i))
-			if err := accel.WriteInput(pa, pp, pin); err != nil {
+			if err := accel.WriteInputAt(pa, pp, pin, 0); err != nil {
 				return false
 			}
 			at := uint64(r.Intn(200000))
@@ -145,11 +146,11 @@ func TestPropertyPreemptionBitExact(t *testing.T) {
 			t.Logf("seed %d (%v): run: %v", seed, pol, err)
 			return false
 		}
-		got, err := accel.ReadOutput(arena, p)
+		got, err := accel.ReadOutputAt(arena, p, 0)
 		if err != nil {
 			return false
 		}
-		if !got.Equal(want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Logf("seed %d (%v): output mismatch after %d preemptions", seed, pol, len(u.Preemptions))
 			return false
 		}

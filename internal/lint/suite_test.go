@@ -16,12 +16,12 @@ func TestRunSuiteCleanOnRepo(t *testing.T) {
 }
 
 func TestRunSuiteOnlyFilter(t *testing.T) {
-	diags, err := RunSuite(moduleRoot(t), map[string]bool{"nodeprecated": true})
+	diags, err := RunSuite(moduleRoot(t), map[string]bool{"testonly": true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 0 {
-		t.Errorf("nodeprecated-only run found %d diagnostics: %v", len(diags), diags)
+		t.Errorf("testonly-only run found %d diagnostics: %v", len(diags), diags)
 	}
 }
 

@@ -1,26 +1,40 @@
-// Package dep declares symbols in various states of deprecation for the
-// nodeprecated analyzer's testdata.
+// Package dep declares exported API in every state of use for the testonly
+// analyzer's testdata; packages testonly and testonly/main are its only
+// non-test users.
 package dep
 
-// Old is the legacy entry point.
-//
-// Deprecated: use Current instead.
-func Old() int { return oldImpl() }
+// Used is called from package testonly.
+func Used() int { return helper() }
 
-func oldImpl() int { return 1 }
+// helper is unexported, so it is never reported.
+func helper() int { return 1 }
 
-// Current replaces Old.
-func Current() int { return 2 }
+// MainOnly is called only from a package main, which still counts.
+func MainOnly() int { return 2 }
 
-// LegacyKnob is a v0 tuning knob.
-//
-// Deprecated: configure through Options.
-var LegacyKnob = 3
+// Unused calls itself, which does not count as a use.
+func Unused() int { return Unused() } // want `dep\.Unused has no non-test reference`
 
-// Mentioning the word Deprecated: mid-prose must not mark a symbol — only a
-// line-anchored marker does.
-func NotActuallyDeprecated() int { return 4 }
+// Knob is read by no one.
+var Knob = 3 // want `dep\.Knob has no non-test reference`
 
-// Same-file references to a deprecated symbol are exempt (the shim's own
-// neighbourhood may keep wiring it up).
-var _ = Old
+// Limit is read from package testonly.
+const Limit = 4
+
+// Orphan is named only by its own field and its own method's receiver.
+type Orphan struct{ next *Orphan } // want `dep\.Orphan has no non-test reference`
+
+// Detach has no caller.
+func (o *Orphan) Detach() { o.next = nil } // want `dep\.Orphan\.Detach has no non-test reference`
+
+// T is used from package testonly.
+type T struct{}
+
+// Vanish has no caller.
+func (T) Vanish() {} // want `dep\.T\.Vanish has no non-test reference`
+
+// Quack is reached through testonly's quacker interface.
+func (T) Quack() {}
+
+// Unwrap is reached by errors.Unwrap through an anonymous interface.
+func (T) Unwrap() error { return nil }

@@ -74,9 +74,6 @@ type Shape struct {
 	C, H, W int
 }
 
-// Elems returns C*H*W.
-func (s Shape) Elems() int { return s.C * s.H * s.W }
-
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
 // Network is a directed acyclic layer graph with a single image input.
@@ -311,17 +308,6 @@ func (n *Network) TotalMACs() (int64, error) {
 		total += s.MACs()
 	}
 	return total, nil
-}
-
-// NumConvLayers returns the count of accelerator-resident conv layers.
-func (n *Network) NumConvLayers() int {
-	c := 0
-	for _, l := range n.Layers {
-		if l.Kind == KindConv {
-			c++
-		}
-	}
-	return c
 }
 
 // Profile renders a per-conv-layer workload table: MACs, parameters,

@@ -33,8 +33,8 @@ func TestResNetDepths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
-		if got := g.NumConvLayers(); got != convs {
-			t.Errorf("resnet%d conv layers = %d, want %d", depth, got, convs)
+		if specs, err := g.ConvSpecs(); err != nil || len(specs) != convs {
+			t.Errorf("resnet%d conv layers = %d (%v), want %d", depth, len(specs), err, convs)
 		}
 		if _, err := g.InferShapes(); err != nil {
 			t.Errorf("resnet%d shapes: %v", depth, err)
@@ -62,8 +62,8 @@ func TestResNet101FinalShape(t *testing.T) {
 
 func TestVGG16Structure(t *testing.T) {
 	g := model.NewVGG16(3, 480, 640)
-	if got := g.NumConvLayers(); got != 13 {
-		t.Fatalf("vgg16 conv layers = %d, want 13", got)
+	if specs, err := g.ConvSpecs(); err != nil || len(specs) != 13 {
+		t.Fatalf("vgg16 conv layers = %d (%v), want 13", len(specs), err)
 	}
 	shapes, err := g.InferShapes()
 	if err != nil {

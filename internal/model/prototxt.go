@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // This file implements the front door of the paper's deployment flow
@@ -382,67 +381,4 @@ func ParsePrototxt(src string) (*Network, error) {
 		return nil, err
 	}
 	return net, nil
-}
-
-// ToPrototxt renders the network back to the dialect ParsePrototxt accepts
-// (useful for fixtures and round-trip tests). Fused pooling is emitted as an
-// explicit Pooling layer.
-func ToPrototxt(n *Network) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "name: %q\n", n.Name)
-	fmt.Fprintf(&b, "input_shape { dim: %d dim: %d dim: %d }\n", n.InC, n.InH, n.InW)
-	blob := make([]string, len(n.Layers))
-	blob[0] = "data"
-	for i := 1; i < len(n.Layers); i++ {
-		l := &n.Layers[i]
-		switch l.Kind {
-		case KindConv:
-			top := l.Name
-			fmt.Fprintf(&b, "layer {\n  name: %q\n  type: \"Convolution\"\n  bottom: %q\n  top: %q\n", l.Name, blob[l.Inputs[0]], top)
-			outC, groups := l.OutC, l.Groups
-			if groups == -1 || outC == -1 {
-				// Depthwise markers resolve to the input channel count.
-				inC := shapeC(n, l.Inputs[0])
-				if groups == -1 {
-					groups = inC
-				}
-				if outC == -1 {
-					outC = inC
-				}
-			}
-			fmt.Fprintf(&b, "  convolution_param { num_output: %d kernel_size: %d stride: %d pad: %d", outC, l.KH, l.Stride, l.Pad)
-			if groups > 1 {
-				fmt.Fprintf(&b, " group: %d", groups)
-			}
-			b.WriteString(" }\n}\n")
-			if l.ReLU {
-				fmt.Fprintf(&b, "layer { name: %q type: \"ReLU\" bottom: %q top: %q }\n", l.Name+"_relu", top, top)
-			}
-			blob[i] = top
-			if l.FusedPool > 1 {
-				pname := l.Name + "_pool"
-				fmt.Fprintf(&b, "layer {\n  name: %q\n  type: \"Pooling\"\n  bottom: %q\n  top: %q\n  pooling_param { pool: MAX kernel_size: %d stride: %d }\n}\n",
-					pname, top, pname, l.FusedPool, l.FusedPool)
-				blob[i] = pname
-			}
-		case KindMaxPool:
-			fmt.Fprintf(&b, "layer {\n  name: %q\n  type: \"Pooling\"\n  bottom: %q\n  top: %q\n  pooling_param { pool: MAX kernel_size: %d stride: %d }\n}\n",
-				l.Name, blob[l.Inputs[0]], l.Name, l.KH, l.Stride)
-			blob[i] = l.Name
-		case KindAdd:
-			fmt.Fprintf(&b, "layer { name: %q type: \"Eltwise\" bottom: %q bottom: %q top: %q }\n",
-				l.Name, blob[l.Inputs[0]], blob[l.Inputs[1]], l.Name)
-			if l.ReLU {
-				fmt.Fprintf(&b, "layer { name: %q type: \"ReLU\" bottom: %q top: %q }\n", l.Name+"_relu", l.Name, l.Name)
-			}
-			blob[i] = l.Name
-		case KindGlobalPool:
-			fmt.Fprintf(&b, "layer { name: %q type: \"GlobalPooling\" bottom: %q top: %q }\n", l.Name, blob[l.Inputs[0]], l.Name)
-			blob[i] = l.Name
-		case KindGeMPool:
-			fmt.Fprintf(&b, "layer { name: %q type: \"GeM\" bottom: %q top: %q }\n", l.Name, blob[l.Inputs[0]], l.Name)
-			blob[i] = l.Name
-		}
-	}
-	return b.String()
 }

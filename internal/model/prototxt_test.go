@@ -68,47 +68,6 @@ func TestParsePrototxt(t *testing.T) {
 	}
 }
 
-func TestPrototxtRoundTrip(t *testing.T) {
-	nets := []*model.Network{
-		model.NewTinyCNN(3, 24, 32),
-		model.NewResNetTiny(),
-		model.NewMobileNetTiny(),
-		model.NewVGG16(3, 64, 64),
-	}
-	for _, orig := range nets {
-		text := model.ToPrototxt(orig)
-		back, err := model.ParsePrototxt(text)
-		if err != nil {
-			t.Fatalf("%s: reparse: %v", orig.Name, err)
-		}
-		ws, err := orig.InferShapes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := back.InferShapes()
-		if err != nil {
-			t.Fatalf("%s: reparsed shapes: %v", orig.Name, err)
-		}
-		// Fused pooling desugars to explicit pooling on the way out, so
-		// compare the final activation shape and total MAC count instead of
-		// layer-by-layer structure.
-		if ws[len(ws)-1] != gs[len(gs)-1] {
-			t.Fatalf("%s: final shape %v -> %v after round trip", orig.Name, ws[len(ws)-1], gs[len(gs)-1])
-		}
-		wm, err := orig.TotalMACs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gm, err := back.TotalMACs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wm != gm {
-			t.Fatalf("%s: MACs %d -> %d after round trip", orig.Name, wm, gm)
-		}
-	}
-}
-
 func TestParsePrototxtErrors(t *testing.T) {
 	cases := map[string]string{
 		"missing input_shape": `name: "x"

@@ -10,7 +10,6 @@
 package quant
 
 import (
-	"fmt"
 	"math"
 
 	"inca/internal/model"
@@ -36,19 +35,6 @@ type LayerParams struct {
 	// AddSwap (Add layers only): the alignment shift applies to Inputs[0]
 	// rather than Inputs[1].
 	AddSwap bool
-	// ChannelShift, when non-nil, overrides Shift per output channel
-	// (per-channel quantization). The simulated accelerator's shift-only
-	// requantizer is per-layer, so the compiler rejects networks carrying
-	// per-channel parameters — they exist to quantify what that hardware
-	// constraint costs in accuracy (see the calibration tests).
-	ChannelShift []uint8
-	// ChannelScale holds each output channel's effective output scale when
-	// ChannelShift is set.
-	ChannelScale []float32
-	// OutScale is the effective float scale of the layer's int8 output
-	// (scaleIn · scaleW · 2^Shift); zero for synthetic networks that have no
-	// float reference.
-	OutScale float32
 }
 
 // Network couples a model graph with quantized parameters for every conv
@@ -59,9 +45,6 @@ type Network struct {
 	// Params is indexed by layer index in Graph; conv and Add layers have
 	// entries (Add entries only when branch alignment is needed).
 	Params map[int]*LayerParams
-	// EffScale, when built by the calibration flow, is each layer's
-	// effective int8 output scale (nil for synthetic networks).
-	EffScale []float32
 }
 
 // Synthesize builds a quantized network with deterministic synthetic
@@ -116,48 +99,6 @@ func syntheticShift(icg, kh, kw int) uint8 {
 		sh = 24
 	}
 	return uint8(sh)
-}
-
-// QuantizeWeights converts float weights to int8 with a symmetric per-tensor
-// scale, returning the quantized tensor and the scale such that
-// float ≈ int8 · scale.
-func QuantizeWeights(w *tensor.Float32) (*tensor.Int8, float32) {
-	m := w.AbsMax()
-	if m == 0 {
-		m = 1
-	}
-	scale := m / 127.0
-	q := tensor.NewInt8(w.Shape...)
-	for i, v := range w.Data {
-		r := math.Round(float64(v / scale))
-		if r > 127 {
-			r = 127
-		}
-		if r < -128 {
-			r = -128
-		}
-		q.Data[i] = int8(r)
-	}
-	return q, scale
-}
-
-// ShiftForScales converts the real-valued requantization multiplier
-// (scaleIn·scaleW/scaleOut) into the nearest power-of-two right shift, the
-// form embedded accelerators implement. It returns an error if the
-// multiplier is non-positive.
-func ShiftForScales(scaleIn, scaleW, scaleOut float32) (uint8, error) {
-	m := float64(scaleIn) * float64(scaleW) / float64(scaleOut)
-	if m <= 0 {
-		return 0, fmt.Errorf("quant: non-positive requant multiplier %g", m)
-	}
-	sh := math.Round(-math.Log2(m))
-	if sh < 0 {
-		sh = 0
-	}
-	if sh > 31 {
-		sh = 31
-	}
-	return uint8(sh), nil
 }
 
 // Requantize folds accumulator, bias, shift, ReLU and saturation exactly as

@@ -96,10 +96,6 @@ func refConv(in *tensor.Int8, l *model.Layer, p *LayerParams, outShape model.Sha
 	ocg := outC / groups
 	conv := tensor.NewInt8(outC, convH, convW)
 	for oc := 0; oc < outC; oc++ {
-		shift := p.Shift
-		if p.ChannelShift != nil {
-			shift = p.ChannelShift[oc]
-		}
 		grp := oc / ocg
 		for oy := 0; oy < convH; oy++ {
 			for ox := 0; ox < convW; ox++ {
@@ -120,7 +116,7 @@ func refConv(in *tensor.Int8, l *model.Layer, p *LayerParams, outShape model.Sha
 						}
 					}
 				}
-				conv.Set3(oc, oy, ox, Requantize(acc, p.Bias[oc], shift, l.ReLU))
+				conv.Set3(oc, oy, ox, Requantize(acc, p.Bias[oc], p.Shift, l.ReLU))
 			}
 		}
 	}

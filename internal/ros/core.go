@@ -66,13 +66,10 @@ type Core struct {
 
 	// Faults, when non-nil, arms per-delivery message faults (drop, delay,
 	// duplication) — the lossy-DDS half of the chaos harness. Nil keeps the
-	// publish path untouched. Bag replays publish through the same path, so
-	// a replayed fixture sees the same fault model as live traffic.
+	// publish path untouched.
 	Faults *fault.Injector
 	// Fault counts the transport faults injected so far.
 	Fault MsgFaultStats
-
-	stopped bool
 }
 
 // NewCore creates an empty middleware instance.
@@ -116,15 +113,11 @@ func (c *Core) After(d Time, fn func()) {
 	_ = c.At(c.now+d, fn)
 }
 
-// Stop ends Run after the current callback returns.
-func (c *Core) Stop() { c.stopped = true }
-
-// Run processes events in timestamp order until the horizon (inclusive) or
-// until Stop is called. It returns the number of events processed.
+// Run processes events in timestamp order until the horizon (inclusive). It
+// returns the number of events processed.
 func (c *Core) Run(until Time) int {
-	c.stopped = false
 	n := 0
-	for len(c.events) > 0 && !c.stopped {
+	for len(c.events) > 0 {
 		if c.events[0].at > until {
 			break
 		}
@@ -133,7 +126,7 @@ func (c *Core) Run(until Time) int {
 		ev.fn()
 		n++
 	}
-	if c.now < until && !c.stopped {
+	if c.now < until {
 		c.now = until
 	}
 	return n
@@ -174,8 +167,4 @@ type Subscription struct {
 	node    *Node
 	cb      func(Message)
 	dropped int
-	active  bool
 }
-
-// Unsubscribe detaches the subscription; in-flight deliveries are discarded.
-func (s *Subscription) Unsubscribe() { s.active = false }

@@ -1,7 +1,6 @@
 package ros_test
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -91,35 +90,5 @@ func TestTimerRejectsNonPositivePeriod(t *testing.T) {
 	}
 	if _, err := n.Timer(-time.Millisecond, func() {}); err == nil {
 		t.Error("negative period accepted")
-	}
-}
-
-// TestReplayErrorMidBag: a record that cannot be scheduled is reported as
-// a typed *ReplayError naming the record index and topic, with earlier
-// records left scheduled.
-func TestReplayErrorMidBag(t *testing.T) {
-	b := &ros.Bag{Records: []ros.BagRecord{
-		{Topic: "ok", Msg: ros.Message{Header: ros.Header{Stamp: 5 * time.Millisecond}, Data: 1}},
-		{Topic: "bad", Msg: ros.Message{Header: ros.Header{Stamp: time.Millisecond}, Data: 2}},
-	}}
-	c := ros.NewCore()
-	// Advance the core past the second record's stamp but not the first's.
-	_ = c.At(2*time.Millisecond, func() { c.Stop() })
-	c.Run(time.Second)
-
-	err := b.Replay(c)
-	var re *ros.ReplayError
-	if !errors.As(err, &re) {
-		t.Fatalf("got %v, want *ReplayError", err)
-	}
-	if re.RecordIndex != 1 || re.Topic != "bad" {
-		t.Fatalf("error locates record %d on %q, want 1 on bad: %v", re.RecordIndex, re.Topic, err)
-	}
-	// The first record survived the failure and still replays.
-	got := 0
-	c.Node("sub").Subscribe("ok", func(ros.Message) { got++ })
-	c.Run(time.Second)
-	if got != 1 {
-		t.Fatalf("earlier record replayed %d times, want 1", got)
 	}
 }

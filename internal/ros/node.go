@@ -16,9 +16,6 @@ type Node struct {
 // Name returns the node's registered name.
 func (n *Node) Name() string { return n.name }
 
-// Core returns the middleware the node belongs to.
-func (n *Node) Core() *Core { return n.core }
-
 // Publisher sends messages on one topic.
 type Publisher struct {
 	node  *Node
@@ -30,7 +27,7 @@ func (n *Node) Advertise(topicName string) *Publisher {
 	return &Publisher{node: n, topic: n.core.topic(topicName)}
 }
 
-// Publish stamps and delivers the payload to every active subscriber after
+// Publish stamps and delivers the payload to every subscriber after
 // the core's transport delay. With Core.Faults armed, each delivery may
 // independently be dropped, delayed, or duplicated (lossy transport).
 func (p *Publisher) Publish(data interface{}) {
@@ -42,14 +39,7 @@ func (p *Publisher) Publish(data interface{}) {
 	}
 	for _, s := range p.topic.subs {
 		s := s
-		if !s.active {
-			continue
-		}
-		deliver := func() {
-			if s.active {
-				s.cb(msg)
-			}
-		}
+		deliver := func() { s.cb(msg) }
 		if c.Faults == nil {
 			c.After(c.Delay, deliver)
 			continue
@@ -76,7 +66,7 @@ func (p *Publisher) Publish(data interface{}) {
 // timestamp order on the single middleware thread.
 func (n *Node) Subscribe(topicName string, cb func(Message)) *Subscription {
 	t := n.core.topic(topicName)
-	s := &Subscription{topic: t, node: n, cb: cb, active: true}
+	s := &Subscription{topic: t, node: n, cb: cb}
 	t.subs = append(t.subs, s)
 	return s
 }

@@ -179,15 +179,6 @@ func (p *PolicyPredictive) Bind(slot int, prog *isa.Program, deadline uint64, co
 	s.estValid = true
 }
 
-// Estimate returns the slot's current per-request cycle estimate and
-// whether it is warm.
-func (p *PolicyPredictive) Estimate(slot int) (uint64, bool) {
-	if slot < 0 || slot >= iau.NumSlots {
-		return 0, false
-	}
-	return p.slots[slot].est, p.slots[slot].estValid
-}
-
 // Counters returns (decisions fired, estimator updates) — test hooks.
 func (p *PolicyPredictive) Counters() (uint64, uint64) { return p.decisions, p.estimates }
 

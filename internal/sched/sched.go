@@ -223,8 +223,8 @@ type Result struct {
 	IdleCycles  uint64
 
 	// Tracer is the cycle-accurate tracer the run emitted into (nil unless
-	// WithTracer was passed). Flush it with Tracer.WritePerfetto and
-	// Tracer.Metrics after the run.
+	// WithTracer was passed). Flush it with trace.WriteFiles (or
+	// Tracer.WritePerfettoNamed and Tracer.Metrics) after the run.
 	Tracer *trace.Tracer
 
 	// Cycle accounting by class from the accelerator engine.

@@ -37,7 +37,7 @@ func TestTraceDeterministicAndConserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		var pf, mj bytes.Buffer
-		if err := tr.WritePerfetto(&pf); err != nil {
+		if err := tr.WritePerfettoNamed(&pf, "inca accelerator"); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Metrics().WriteJSON(&mj); err != nil {

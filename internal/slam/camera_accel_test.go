@@ -1,6 +1,7 @@
 package slam_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestCameraFrameThroughAccelerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(arena, p, img); err != nil {
+		if err := accel.WriteInputAt(arena, p, img, 0); err != nil {
 			t.Fatal(err)
 		}
 		u := iau.New(cfg, iau.PolicyVI)
@@ -56,7 +57,7 @@ func TestCameraFrameThroughAccelerator(t *testing.T) {
 		if err := u.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-		out, err := accel.ReadOutput(arena, p)
+		out, err := accel.ReadOutputAt(arena, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestCameraFrameThroughAccelerator(t *testing.T) {
 	}
 	// Deterministic re-render, deterministic inference.
 	img2 := cam.Render(cam.Observe(w, 0, pose, time.Second, 3))
-	if !img.Equal(img2) {
+	if !reflect.DeepEqual(img, img2) {
 		t.Fatal("render not deterministic")
 	}
 	got2 := run()

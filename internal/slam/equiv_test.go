@@ -73,7 +73,7 @@ func TestDSLAMPreemptiveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accel.WriteInput(arena, p, in); err != nil {
+		if err := accel.WriteInputAt(arena, p, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		return arena

@@ -33,13 +33,11 @@ type FeaturePoint struct {
 	Response float64
 	Desc     [DescDim]float32
 
-	// landmarkID is ground truth kept for evaluation only (match-precision
-	// metrics); the pipeline itself matches by descriptor.
+	// landmarkID is ground truth: it breaks response ties deterministically
+	// and the match-precision test reads it; the pipeline matches by
+	// descriptor.
 	landmarkID int
 }
-
-// LandmarkID exposes the ground-truth identity for evaluation code.
-func (p FeaturePoint) LandmarkID() int { return p.landmarkID }
 
 // Frame is the FE output for one camera frame.
 type Frame struct {

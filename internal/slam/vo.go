@@ -85,9 +85,6 @@ func NewOdometry(intr CameraIntrinsics) *Odometry {
 // Pose returns the current odometry estimate (local frame).
 func (o *Odometry) Pose() world.Pose { return o.pose }
 
-// SetPose overrides the current estimate (loop-closure corrections).
-func (o *Odometry) SetPose(p world.Pose) { o.pose = p }
-
 // Track ingests a frame and updates the pose estimate. It returns the
 // relative motion applied and whether tracking succeeded.
 func (o *Odometry) Track(f *Frame) (RigidEstimate, bool) {

@@ -1,92 +1,15 @@
 package tensor_test
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"inca/internal/tensor"
 )
 
-func TestInt32Tensor(t *testing.T) {
-	a := tensor.NewInt32(2, 3, 4)
-	a.Set3(1, 2, 3, -70000)
-	if a.At3(1, 2, 3) != -70000 {
-		t.Fatal("Int32 At3/Set3 mismatch")
-	}
-	b := a.Clone()
-	b.Set3(0, 0, 0, 5)
-	if a.At3(0, 0, 0) == 5 {
-		t.Fatal("Int32 clone aliases")
-	}
-}
-
-func TestFloat32Tensor(t *testing.T) {
-	f := tensor.NewFloat32(2, 2, 2)
-	f.Set3(1, 1, 1, -3.5)
-	if f.At3(1, 1, 1) != -3.5 {
-		t.Fatal("Float32 At3/Set3 mismatch")
-	}
-	if f.AbsMax() != 3.5 {
-		t.Fatalf("AbsMax %v", f.AbsMax())
-	}
-	c := f.Clone()
-	c.Set3(0, 0, 0, 9)
-	if f.At3(0, 0, 0) == 9 {
-		t.Fatal("Float32 clone aliases")
-	}
-	if tensor.NewFloat32(3).AbsMax() != 0 {
-		t.Fatal("zero tensor AbsMax")
-	}
-	want := math.Sqrt(3.5 * 3.5)
-	if got := f.L2Norm(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("L2 %v, want %v", got, want)
-	}
-}
-
-func TestFillPatternFloat32(t *testing.T) {
-	a := tensor.NewFloat32(100)
-	b := tensor.NewFloat32(100)
-	tensor.FillPatternFloat32(a, 3)
-	tensor.FillPatternFloat32(b, 3)
-	pos, neg := false, false
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("not deterministic")
-		}
-		if a.Data[i] > 1.001 || a.Data[i] < -1.001 {
-			t.Fatalf("value %v outside [-1,1]", a.Data[i])
-		}
-		if a.Data[i] > 0 {
-			pos = true
-		}
-		if a.Data[i] < 0 {
-			neg = true
-		}
-	}
-	if !pos || !neg {
-		t.Fatal("pattern does not span both signs")
-	}
-}
-
 func TestShapeString(t *testing.T) {
 	s := tensor.Shape{3, 4}
 	if got := s.String(); !strings.Contains(got, "3") || !strings.Contains(got, "4") {
 		t.Fatalf("String %q", got)
-	}
-}
-
-func TestDotErrors(t *testing.T) {
-	a := tensor.NewFloat32(3)
-	b := tensor.NewFloat32(4)
-	if _, err := tensor.Dot(a, b); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	a.Data = []float32{1, 2, 3}
-	c := tensor.NewFloat32(3)
-	c.Data = []float32{4, 5, 6}
-	d, err := tensor.Dot(a, c)
-	if err != nil || d != 32 {
-		t.Fatalf("dot = %v, %v", d, err)
 	}
 }

@@ -2,14 +2,10 @@
 // CNN model, the quantizer, and the functional accelerator simulator.
 //
 // The accelerator datapath is integer-only: feature maps and weights are
-// int8, accumulators are int32. Float32 tensors exist only on the "software"
-// side (pre-quantization weights, post-processing on the CPU).
+// int8; accumulation is int32 inside the engine.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Shape describes a tensor extent. The canonical activation layout is
 // (C, H, W); weights use (OutC, InC, KH, KW). A Shape may have any rank
@@ -25,19 +21,6 @@ func (s Shape) Elems() int {
 	return n
 }
 
-// Equal reports whether two shapes have identical rank and extents.
-func (s Shape) Equal(o Shape) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of the shape.
 func (s Shape) Clone() Shape {
 	c := make(Shape, len(s))
@@ -47,20 +30,6 @@ func (s Shape) Clone() Shape {
 
 func (s Shape) String() string {
 	return fmt.Sprint([]int(s))
-}
-
-// Validate returns an error when any extent is non-positive or the rank is
-// outside [1,4].
-func (s Shape) Validate() error {
-	if len(s) == 0 || len(s) > 4 {
-		return fmt.Errorf("tensor: invalid rank %d", len(s))
-	}
-	for i, d := range s {
-		if d <= 0 {
-			return fmt.Errorf("tensor: non-positive extent %d at axis %d", d, i)
-		}
-	}
-	return nil
 }
 
 // Int8 is a dense int8 tensor.
@@ -93,142 +62,6 @@ func (t *Int8) At4(o, i, ky, kx int) int8 {
 	return t.Data[((o*ic+i)*kh+ky)*kw+kx]
 }
 
-// Set4 writes element (o, i, ky, kx) of an OIHW weight tensor.
-func (t *Int8) Set4(o, i, ky, kx int, v int8) {
-	_, ic, kh, kw := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-	t.Data[((o*ic+i)*kh+ky)*kw+kx] = v
-}
-
-// Clone deep-copies the tensor.
-func (t *Int8) Clone() *Int8 {
-	c := &Int8{Shape: t.Shape.Clone(), Data: make([]int8, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Equal reports element-wise equality including shape.
-func (t *Int8) Equal(o *Int8) bool {
-	if !t.Shape.Equal(o.Shape) {
-		return false
-	}
-	for i := range t.Data {
-		if t.Data[i] != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Int32 is a dense int32 tensor (accumulators, biases).
-type Int32 struct {
-	Shape Shape
-	Data  []int32
-}
-
-// NewInt32 allocates a zeroed int32 tensor of the given shape.
-func NewInt32(shape ...int) *Int32 {
-	s := Shape(shape)
-	return &Int32{Shape: s.Clone(), Data: make([]int32, s.Elems())}
-}
-
-// At3 reads element (c, y, x) of a CHW tensor.
-func (t *Int32) At3(c, y, x int) int32 {
-	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
-	return t.Data[(c*h+y)*w+x]
-}
-
-// Set3 writes element (c, y, x) of a CHW tensor.
-func (t *Int32) Set3(c, y, x int, v int32) {
-	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
-	t.Data[(c*h+y)*w+x] = v
-}
-
-// Clone deep-copies the tensor.
-func (t *Int32) Clone() *Int32 {
-	c := &Int32{Shape: t.Shape.Clone(), Data: make([]int32, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Float32 is a dense float32 tensor for the software-side of the pipeline.
-type Float32 struct {
-	Shape Shape
-	Data  []float32
-}
-
-// NewFloat32 allocates a zeroed float32 tensor of the given shape.
-func NewFloat32(shape ...int) *Float32 {
-	s := Shape(shape)
-	return &Float32{Shape: s.Clone(), Data: make([]float32, s.Elems())}
-}
-
-// At3 reads element (c, y, x) of a CHW tensor.
-func (t *Float32) At3(c, y, x int) float32 {
-	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
-	return t.Data[(c*h+y)*w+x]
-}
-
-// Set3 writes element (c, y, x) of a CHW tensor.
-func (t *Float32) Set3(c, y, x int, v float32) {
-	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
-	t.Data[(c*h+y)*w+x] = v
-}
-
-// AbsMax returns the maximum absolute value in the tensor, or 0 for an
-// all-zero tensor.
-func (t *Float32) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Clone deep-copies the tensor.
-func (t *Float32) Clone() *Float32 {
-	c := &Float32{Shape: t.Shape.Clone(), Data: make([]float32, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
-// L2Norm returns the Euclidean norm of the tensor.
-func (t *Float32) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of two equally-sized float tensors.
-func Dot(a, b *Float32) (float64, error) {
-	if len(a.Data) != len(b.Data) {
-		return 0, fmt.Errorf("tensor: dot size mismatch %d vs %d", len(a.Data), len(b.Data))
-	}
-	var s float64
-	for i := range a.Data {
-		s += float64(a.Data[i]) * float64(b.Data[i])
-	}
-	return s, nil
-}
-
-// CosineSimilarity returns the cosine of the angle between two vectors; it
-// returns 0 when either vector has zero norm.
-func CosineSimilarity(a, b *Float32) (float64, error) {
-	d, err := Dot(a, b)
-	if err != nil {
-		return 0, err
-	}
-	na, nb := a.L2Norm(), b.L2Norm()
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return d / (na * nb), nil
-}
-
 // FillPattern fills an int8 tensor with a deterministic pseudo-random but
 // reproducible pattern derived from seed. It is used to generate synthetic
 // weights and inputs: the accelerator experiments depend on shapes, not on
@@ -239,16 +72,6 @@ func FillPattern(t *Int8, seed uint64) {
 	for i := range t.Data {
 		s = splitmix(s)
 		t.Data[i] = int8(s >> 32) // full int8 range
-	}
-}
-
-// FillPatternFloat32 fills a float tensor with reproducible values in
-// [-1, 1).
-func FillPatternFloat32(t *Float32, seed uint64) {
-	s := splitmix(seed)
-	for i := range t.Data {
-		s = splitmix(s)
-		t.Data[i] = float32(int32(s>>32)) / float32(math.MaxInt32)
 	}
 }
 

@@ -1,30 +1,21 @@
 package tensor_test
 
 import (
-	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"inca/internal/tensor"
 )
 
-func TestShapeElemsAndValidate(t *testing.T) {
+func TestShapeElemsAndClone(t *testing.T) {
 	s := tensor.Shape{3, 4, 5}
 	if s.Elems() != 60 {
 		t.Fatalf("Elems = %d", s.Elems())
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid shape rejected: %v", err)
-	}
-	for _, bad := range []tensor.Shape{{}, {0}, {2, -1}, {1, 2, 3, 4, 5}} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("shape %v accepted", bad)
-		}
-	}
-	if !s.Equal(s.Clone()) {
+	c := s.Clone()
+	if !slices.Equal(s, c) {
 		t.Error("clone not equal")
 	}
-	c := s.Clone()
 	c[0] = 9
 	if s[0] == 9 {
 		t.Error("clone aliases original")
@@ -41,29 +32,9 @@ func TestInt8Indexing(t *testing.T) {
 		t.Fatal("CHW layout broken")
 	}
 	w := tensor.NewInt8(2, 3, 2, 2)
-	w.Set4(1, 2, 1, 0, 5)
+	w.Data[((1*3+2)*2+1)*2+0] = 5
 	if w.At4(1, 2, 1, 0) != 5 {
-		t.Fatal("At4/Set4 mismatch")
-	}
-	if w.Data[((1*3+2)*2+1)*2+0] != 5 {
 		t.Fatal("OIHW layout broken")
-	}
-}
-
-func TestEqualAndClone(t *testing.T) {
-	a := tensor.NewInt8(2, 2, 2)
-	tensor.FillPattern(a, 1)
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Fatal("clone differs")
-	}
-	b.Data[0]++
-	if a.Equal(b) {
-		t.Fatal("mutation not detected")
-	}
-	c := tensor.NewInt8(2, 2, 3)
-	if a.Equal(c) {
-		t.Fatal("shape mismatch not detected")
 	}
 }
 
@@ -72,11 +43,11 @@ func TestFillPatternDeterministic(t *testing.T) {
 	b := tensor.NewInt8(4, 5, 6)
 	tensor.FillPattern(a, 42)
 	tensor.FillPattern(b, 42)
-	if !a.Equal(b) {
+	if !slices.Equal(a.Data, b.Data) {
 		t.Fatal("same seed produced different tensors")
 	}
 	tensor.FillPattern(b, 43)
-	if a.Equal(b) {
+	if slices.Equal(a.Data, b.Data) {
 		t.Fatal("different seeds produced identical tensors")
 	}
 	// The pattern should cover both signs.
@@ -91,60 +62,5 @@ func TestFillPatternDeterministic(t *testing.T) {
 	}
 	if !pos || !neg {
 		t.Fatal("pattern does not span int8 range")
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	a := tensor.NewFloat32(4)
-	b := tensor.NewFloat32(4)
-	copy(a.Data, []float32{1, 0, 0, 0})
-	copy(b.Data, []float32{1, 0, 0, 0})
-	if s, _ := tensor.CosineSimilarity(a, b); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("identical vectors cos = %v", s)
-	}
-	copy(b.Data, []float32{0, 1, 0, 0})
-	if s, _ := tensor.CosineSimilarity(a, b); math.Abs(s) > 1e-9 {
-		t.Fatalf("orthogonal vectors cos = %v", s)
-	}
-	z := tensor.NewFloat32(4)
-	if s, _ := tensor.CosineSimilarity(a, z); s != 0 {
-		t.Fatalf("zero vector cos = %v", s)
-	}
-	short := tensor.NewFloat32(3)
-	if _, err := tensor.CosineSimilarity(a, short); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-// Property: cosine similarity is symmetric and bounded in [-1, 1].
-func TestCosineProperties(t *testing.T) {
-	f := func(x, y []float32) bool {
-		n := len(x)
-		if len(y) < n {
-			n = len(y)
-		}
-		if n == 0 {
-			return true
-		}
-		a := tensor.NewFloat32(n)
-		b := tensor.NewFloat32(n)
-		copy(a.Data, x[:n])
-		copy(b.Data, y[:n])
-		for i := 0; i < n; i++ {
-			if math.IsNaN(float64(a.Data[i])) || math.IsInf(float64(a.Data[i]), 0) ||
-				math.IsNaN(float64(b.Data[i])) || math.IsInf(float64(b.Data[i]), 0) {
-				return true
-			}
-			// Avoid float32 overflow in the dot product.
-			if math.Abs(float64(a.Data[i])) > 1e18 || math.Abs(float64(b.Data[i])) > 1e18 {
-				return true
-			}
-		}
-		ab, _ := tensor.CosineSimilarity(a, b)
-		ba, _ := tensor.CosineSimilarity(b, a)
-		return math.Abs(ab-ba) < 1e-9 && ab <= 1+1e-9 && ab >= -1-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -171,11 +171,6 @@ func (m *TaskMetrics) BusyCycles() uint64 {
 	return m.CalcCycles + m.XferCycles + m.BackupCycles + m.RestoreCycles
 }
 
-// OverheadCycles returns the interrupt-support tax the slot paid.
-func (m *TaskMetrics) OverheadCycles() uint64 {
-	return m.FetchCycles + m.BackupCycles + m.RestoreCycles
-}
-
 // Metrics is an aggregated snapshot of everything a tracer saw. Counters
 // are exact even when the event ring wrapped (they are updated at emit
 // time, not derived from the surviving events).

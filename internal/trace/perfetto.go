@@ -7,7 +7,7 @@ import (
 )
 
 // Perfetto (Chrome trace_event) serialisation. The layout is one process
-// ("inca accelerator", or the name passed to WritePerfettoNamed) with:
+// (named by the caller of WritePerfettoNamed) with:
 //
 //   - tid 0: the engine track — one complete ("X") span per instruction
 //     class event (calc, xfer, fetch, backup, restore, stall);
@@ -58,15 +58,11 @@ type pfMeta struct {
 	Total   uint64 `json:"total_events"`
 }
 
-// WritePerfetto serialises the tracer's surviving events as Chrome
+// WritePerfettoNamed serialises the tracer's surviving events as Chrome
 // trace_event JSON loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Output is deterministic for a given event sequence.
-func (t *Tracer) WritePerfetto(w io.Writer) error {
-	return t.WritePerfettoNamed(w, "inca accelerator")
-}
-
-// WritePerfettoNamed is WritePerfetto with an explicit process name —
-// multi-accelerator runs (one tracer per engine) label their tracks.
+// chrome://tracing, under the given process name — multi-accelerator runs
+// (one tracer per engine) label their tracks. Output is deterministic for a
+// given event sequence.
 func (t *Tracer) WritePerfettoNamed(w io.Writer, process string) error {
 	const pid = 1
 	events := t.Events()

@@ -207,9 +207,6 @@ func New(capacity int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
-// Enabled reports whether events will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Span records an event with a duration starting at cycle.
 func (t *Tracer) Span(kind Kind, slot int, cycle, dur uint64, arg uint64, label string) {
 	if t == nil {

@@ -140,7 +140,7 @@ func RunCase(c Case) (RunStats, error) {
 	}
 
 	// The executable spec's verdict: what DDR must hold afterwards.
-	want, err := goldenArena(victim, inputs)
+	want, err := golden.RunNet(victim, inputs...)
 	if err != nil {
 		return stats, fmt.Errorf("golden rejects the compiled stream: %v", err)
 	}
@@ -193,24 +193,6 @@ func RunCase(c Case) (RunStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// goldenArena builds a fresh arena holding every batch element's input and
-// runs the golden interpreter over it, returning the expected DDR image.
-func goldenArena(p *isa.Program, inputs []*tensor.Int8) ([]byte, error) {
-	arena, err := accel.NewArena(p)
-	if err != nil {
-		return nil, err
-	}
-	for b, in := range inputs {
-		if err := accel.WriteInputAt(arena, p, in, b); err != nil {
-			return nil, err
-		}
-	}
-	if err := golden.Run(p, arena); err != nil {
-		return nil, err
-	}
-	return arena, nil
 }
 
 // runOnce performs a single IAU run of the victim under one probe plan and

@@ -214,14 +214,14 @@ func TestSchedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := accel.WriteInput(feArena, fe, feIn); err != nil {
+	if err := accel.WriteInputAt(feArena, fe, feIn, 0); err != nil {
 		t.Fatal(err)
 	}
 	prArena, err := accel.NewArena(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := accel.WriteInput(prArena, pr, prIn); err != nil {
+	if err := accel.WriteInputAt(prArena, pr, prIn, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -84,9 +84,6 @@ func NewTrajectory(points [][2]float64, speed float64, loop bool) *Trajectory {
 	return t
 }
 
-// Period returns the time one full traversal takes.
-func (t *Trajectory) Period() time.Duration { return t.total }
-
 // PoseAt returns the agent pose after travelling for d of simulated time.
 func (t *Trajectory) PoseAt(d time.Duration) Pose {
 	if len(t.phases) == 0 {

@@ -151,13 +151,6 @@ func (p Pose) Add(dx, dy, dtheta float64) Pose {
 	}
 }
 
-// Delta returns the motion (dx, dy, dtheta) in p's frame that takes p to q.
-func (p Pose) Delta(q Pose) (dx, dy, dtheta float64) {
-	c, s := math.Cos(p.Theta), math.Sin(p.Theta)
-	gx, gy := q.X-p.X, q.Y-p.Y
-	return c*gx + s*gy, -s*gx + c*gy, normAngle(q.Theta - p.Theta)
-}
-
 // Compose treats poses as SE(2) transforms and returns p∘q (apply q, then p).
 func (p Pose) Compose(q Pose) Pose {
 	c, s := math.Cos(p.Theta), math.Sin(p.Theta)
@@ -176,12 +169,6 @@ func (p Pose) Inverse() Pose {
 		Y:     -(-s*p.X + c*p.Y),
 		Theta: normAngle(-p.Theta),
 	}
-}
-
-// TransformPoint applies the pose as a transform to a point.
-func (p Pose) TransformPoint(x, y float64) (float64, float64) {
-	c, s := math.Cos(p.Theta), math.Sin(p.Theta)
-	return p.X + c*x - s*y, p.Y + s*x + c*y
 }
 
 func normAngle(a float64) float64 {
