@@ -68,7 +68,10 @@ func TestRunCLI(t *testing.T) {
 }
 
 // TestRunDeterministic: the report is a pure function of the flags — the same
-// stream, faults and outcome listing included, prints byte-identical stdout.
+// stream, faults and outcome listing included, prints byte-identical stdout —
+// and -functional does not move it: cycles never depend on whether a task
+// carries an arena, so the functional run prints the timing-only report plus
+// its golden verdict line.
 func TestRunDeterministic(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engines", "2", "-tasks", "16"},
@@ -83,6 +86,14 @@ func TestRunDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Errorf("%v: stdout differs between runs:\n%s\n---\n%s", args, first.String(), second.String())
+		}
+		var functional bytes.Buffer
+		if code := run(append(args, "-functional"), &functional, &errw); code != 0 {
+			t.Fatalf("%v -functional: exit %d\n%s", args, code, errw.String())
+		}
+		verdict, ok := bytes.CutPrefix(functional.Bytes(), first.Bytes())
+		if !ok || !bytes.HasPrefix(verdict, []byte("functional: ")) || bytes.Count(verdict, []byte("\n")) != 1 {
+			t.Errorf("%v: -functional is not the timing-only report plus one verdict line:\n%s\n---\n%s", args, first.String(), functional.String())
 		}
 	}
 }

@@ -21,7 +21,9 @@ import (
 // (kernels.go), optionally sharded across output channels by a persistent
 // worker pool, and the original scalar reference path (reference.go). Both
 // are bit-identical; the differential tests prove it continuously. Cycle
-// accounting never depends on which path (or how many host workers) ran.
+// accounting never depends on which path (or how many host workers) ran, nor
+// on whether an arena is attached: the functional half only moves data, so a
+// timing-only run ends on the same cycle as a functional one.
 type Engine struct {
 	Cfg Config
 
@@ -132,9 +134,17 @@ func (e *Engine) CycleStats() (calc, xfer, hidden uint64) {
 }
 
 // Invalidate models the loss of all on-chip state when the accelerator
-// switches tasks.
+// switches tasks: the buffers and the prefetch credit both go.
 func (e *Engine) Invalidate() {
 	e.DrainPipeline()
+	e.resetBuffers()
+}
+
+// resetBuffers forgets the on-chip buffers but keeps the prefetch credit. A
+// layer change inside one task reuses the buffers while the DMA engine keeps
+// streaming the next layer's loads under the last tile's compute, so only
+// the IAU, which stops the MAC array, drains the credit.
+func (e *Engine) resetBuffers() {
 	e.curProg = nil
 	e.curLayer = -1
 	e.win[0] = e.win[0][:0]
@@ -313,7 +323,7 @@ func (e *Engine) ExecRef(arena []byte, p *isa.Program, in *isa.Instruction, skip
 func (e *Engine) execFunctional(arena []byte, p *isa.Program, in isa.Instruction, skipBytes uint32) error {
 	if e.curProg != p || int(in.Layer) != e.curLayer {
 		// A new layer (or a new task's stream) reuses the on-chip buffers.
-		e.Invalidate()
+		e.resetBuffers()
 		e.curProg = p
 		e.curLayer = int(in.Layer)
 	}

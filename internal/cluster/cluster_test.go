@@ -171,6 +171,48 @@ func TestClusterChaosBitExactAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestClusterFunctionalMatchesTiming: cycles never depend on whether a task
+// carries an arena, so the chaos stream run functionally and timing-only
+// reports the same ledger byte for byte and the same outcome for every task —
+// watchdog kills and salvage resumes included.
+func TestClusterFunctionalMatchesTiming(t *testing.T) {
+	cfg := testAccel()
+	run := func(functional bool) (*Result, []byte) {
+		w, err := NewWorkload(cfg, WorkloadConfig{Tasks: 40, Seed: 7, Functional: functional, DeadlineFactor: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(chaosConfig(cfg, w.Progs, nil), w.Tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Stats.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	fres, freport := run(true)
+	tres, treport := run(false)
+	if fres.Stats.WatchdogKills == 0 || fres.Stats.SalvageResumes == 0 {
+		t.Fatalf("stream too tame: %d watchdog kills, %d salvage resumes", fres.Stats.WatchdogKills, fres.Stats.SalvageResumes)
+	}
+	if !bytes.Equal(freport, treport) {
+		t.Errorf("stats differ between modes:\nfunctional:\n%s\ntiming-only:\n%s", freport, treport)
+	}
+	differ := 0
+	for i := range fres.Outcomes {
+		if a, b := fres.Outcomes[i], tres.Outcomes[i]; a != b {
+			if differ++; differ == 1 {
+				t.Errorf("outcome %d: functional %+v, timing-only %+v", i, a, b)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d outcomes differ between modes", differ, len(fres.Outcomes))
+	}
+}
+
 func TestClusterOverloadShedsLowestPriorityFirst(t *testing.T) {
 	cfg := testAccel()
 	w, err := NewWorkload(cfg, WorkloadConfig{Tasks: 30, Seed: 3})

@@ -75,9 +75,9 @@ func Example_quickstart() {
 	// Output:
 	// preemptions suffered by the background task: 4
 	//   #0 at layer conv1        latency   0.8 us  backup   288 B  restore   360 B
-	//   #1 at layer blk1_a       latency   0.0 us  backup     0 B  restore   192 B
-	//   #2 at layer blk1_b       latency   0.3 us  backup     0 B  restore   192 B
-	//   #3 at layer blk2_b       latency   0.2 us  backup    72 B  restore   384 B
+	//   #1 at layer blk1_a       latency   0.6 us  backup   144 B  restore   480 B
+	//   #2 at layer blk1_b       latency   0.6 us  backup   144 B  restore   672 B
+	//   #3 at layer blk2_b       latency   0.1 us  backup     0 B  restore   384 B
 	// bit-exact versus the uninterrupted software reference: true
 }
 

@@ -140,13 +140,12 @@ func (a *observed) diff(b *observed) string {
 }
 
 // oracleSet is the compiled task set every scenario shares, with the victim's
-// solo instruction boundaries (they differ between functional and timing-only
-// runs: ROADMAP item 1).
+// solo instruction boundaries (the same with and without an arena).
 type oracleSet struct {
 	cfg                   accel.Config
 	victim, urgent, lower *isa.Program
 	inputs                map[*isa.Program]*tensor.Int8
-	bounds                [2][]uint64 // [functional] → cycle after each victim instruction, solo
+	bounds                []uint64 // cycle after each victim instruction, solo
 }
 
 func newOracleSet(t *testing.T) *oracleSet {
@@ -163,18 +162,16 @@ func newOracleSet(t *testing.T) *oracleSet {
 	s.victim = build(model.NewResNetTiny(), 11)
 	s.urgent = build(model.NewPoolNet(), 13)
 	s.lower = build(model.NewMobileNetTiny(), 17)
-	for f := 0; f < 2; f++ {
-		u := iau.New(s.cfg, iau.PolicyVI)
-		if err := u.Submit(1, s.request(t, "V", s.victim, f == 1)); err != nil {
+	u := iau.New(s.cfg, iau.PolicyVI)
+	if err := u.Submit(1, s.request(t, "V", s.victim, false)); err != nil {
+		t.Fatal(err)
+	}
+	for u.Pending() {
+		// One instruction per call: the horizon is reached as soon as time moves.
+		if err := iau.RunStepwise(u, u.Now+1); err != nil {
 			t.Fatal(err)
 		}
-		for u.Pending() {
-			// One instruction per call: the horizon is reached as soon as time moves.
-			if err := iau.RunStepwise(u, u.Now+1); err != nil {
-				t.Fatal(err)
-			}
-			s.bounds[f] = append(s.bounds[f], u.Now)
-		}
+		s.bounds = append(s.bounds, u.Now)
 	}
 	return s
 }
@@ -267,10 +264,7 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 
 	// The victim starts alone at cycle 0, so until the first preemptor lands
 	// its instruction boundaries are the solo ones.
-	bounds := s.bounds[0]
-	if sc.functional {
-		bounds = s.bounds[1]
-	}
+	bounds := s.bounds
 	k := len(bounds)/8 + draw(len(bounds)/3)
 	first := uint64(int(bounds[k]) + sc.delta)
 	submit(1, "V", s.victim, 0, false)

@@ -7,17 +7,18 @@ package verify
 // full resubmissions), and corrupted backups must be caught by the CRC
 // wherever the task lands. The verdict is unchanged — the victim's arena
 // must be bit-identical to the golden interpreter's, no matter how many
-// engines touched it on the way.
+// engines touched it on the way — and the stream replayed without an arena
+// must end the same way, cycle for cycle.
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 
 	"inca/internal/accel"
 	"inca/internal/cluster"
 	"inca/internal/iau"
 	"inca/internal/isa"
-	"inca/internal/tensor"
 )
 
 // clusterMaxMigrations bounds per-task placements in the axis. With the
@@ -30,41 +31,31 @@ const clusterMaxMigrations = 10
 // invariants. The returned count is the number of cross-engine migrations
 // the run performed (the axis' analogue of a preemption count).
 func runClusterOnce(c Case, cfg accel.Config, victim, probe *isa.Program,
-	inputs []*tensor.Int8, want []byte, soloTotal uint64) (int, error) {
+	initial, want []byte, soloTotal uint64) (int, error) {
 
-	arena, err := accel.NewArena(victim)
-	if err != nil {
-		return 0, err
-	}
-	for b, in := range inputs {
-		if err := accel.WriteInputAt(arena, victim, in, b); err != nil {
-			return 0, err
+	// run plays the stream with the victim on arena (nil: timing-only).
+	run := func(arena []byte) (*cluster.Result, error) {
+		tasks := []cluster.Task{{
+			ID: 0, Name: "victim", Priority: c.Sched.VictimSlot,
+			Prog: victim, Arena: arena,
+		}}
+		for i, pr := range c.Sched.Probes {
+			tasks = append(tasks, cluster.Task{
+				ID: i + 1, Name: fmt.Sprintf("probe%d", i), Priority: pr.Slot,
+				Prog: probe, Arrival: uint64(pr.Frac * float64(soloTotal)),
+			})
 		}
+		return cluster.Run(cluster.Config{
+			Engines: max(c.Sched.Engines, 1), Accel: cfg, Policy: iau.PolicyVI,
+			Seed:          c.Sched.FaultSeed,
+			HangRate:      cluster.HangRatePerAttempt([]*isa.Program{victim, probe}, c.Sched.HangAttempt),
+			StallRate:     c.Sched.StallRate,
+			BackupRate:    c.Sched.BackupRate,
+			MaxMigrations: clusterMaxMigrations,
+		}, tasks)
 	}
-
-	tasks := []cluster.Task{{
-		ID: 0, Name: "victim", Priority: c.Sched.VictimSlot,
-		Prog: victim, Arena: arena,
-	}}
-	for i, pr := range c.Sched.Probes {
-		tasks = append(tasks, cluster.Task{
-			ID: i + 1, Name: fmt.Sprintf("probe%d", i), Priority: pr.Slot,
-			Prog: probe, Arrival: uint64(pr.Frac * float64(soloTotal)),
-		})
-	}
-
-	engines := c.Sched.Engines
-	if engines < 1 {
-		engines = 1
-	}
-	res, err := cluster.Run(cluster.Config{
-		Engines: engines, Accel: cfg, Policy: iau.PolicyVI,
-		Seed:          c.Sched.FaultSeed,
-		HangRate:      cluster.HangRatePerAttempt([]*isa.Program{victim, probe}, c.Sched.HangAttempt),
-		StallRate:     c.Sched.StallRate,
-		BackupRate:    c.Sched.BackupRate,
-		MaxMigrations: clusterMaxMigrations,
-	}, tasks)
+	arena := bytes.Clone(initial)
+	res, err := run(arena)
 	if err != nil {
 		return 0, fmt.Errorf("cluster run failed: %v", err)
 	}
@@ -78,9 +69,9 @@ func runClusterOnce(c Case, cfg accel.Config, victim, probe *isa.Program,
 			return migrations, fmt.Errorf("task %d (%s) lost: neither completed nor shed", o.TaskID, o.Name)
 		}
 	}
-	if res.Stats.Completed+res.Stats.Shed != res.Stats.Offered || res.Stats.Offered != len(tasks) {
+	if tasks := 1 + len(c.Sched.Probes); res.Stats.Completed+res.Stats.Shed != res.Stats.Offered || res.Stats.Offered != tasks {
 		return migrations, fmt.Errorf("cluster ledger broken: offered=%d completed=%d shed=%d (tasks=%d)",
-			res.Stats.Offered, res.Stats.Completed, res.Stats.Shed, len(tasks))
+			res.Stats.Offered, res.Stats.Completed, res.Stats.Shed, tasks)
 	}
 
 	// 2. With MaxMigrations this high, nothing should actually shed.
@@ -95,19 +86,21 @@ func runClusterOnce(c Case, cfg accel.Config, victim, probe *isa.Program,
 	// 3. Bit-exact equivalence: the victim's arena must match the golden
 	// interpreter byte for byte, regardless of which engines ran it.
 	if !bytes.Equal(want, arena) {
-		n, first := 0, -1
-		for i := range want {
-			if want[i] != arena[i] {
-				n++
-				if first < 0 {
-					first = i
-				}
-			}
-		}
+		n, first := diffBytes(want, arena)
 		vo := &res.Outcomes[0]
 		return migrations, fmt.Errorf(
 			"victim arena differs from golden at %d bytes (first at %d) after %d migrations, %d salvage resumes, %d kills",
 			n, first, vo.Migrations, vo.Salvaged, res.Stats.WatchdogKills)
+	}
+
+	// 4. One cycle model (invariant 9): the same stream with no arena must
+	// produce the same ledger and the same outcome for every task.
+	tres, err := run(nil)
+	if err != nil {
+		return migrations, fmt.Errorf("timing-only cluster replay failed: %v", err)
+	}
+	if !reflect.DeepEqual(res.Stats, tres.Stats) || !reflect.DeepEqual(res.Outcomes, tres.Outcomes) {
+		return migrations, fmt.Errorf("functional and timing-only cluster runs disagree:\n  %+v\n  %+v", res.Outcomes, tres.Outcomes)
 	}
 	return migrations, nil
 }

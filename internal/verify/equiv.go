@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"inca/internal/accel"
 	"inca/internal/compiler"
@@ -45,12 +46,7 @@ func probeRecipe() Recipe {
 
 // compileRecipe lowers a recipe for functional execution on cfg.
 func compileRecipe(r Recipe, cfg accel.Config, paramSeed uint64) (*isa.Program, *model.Network, error) {
-	return compileRecipeBatch(r, cfg, paramSeed, 1)
-}
-
-// compileRecipeBatch is compileRecipe with a batch dimension on the plan.
-func compileRecipeBatch(r Recipe, cfg accel.Config, paramSeed uint64, batch int) (*isa.Program, *model.Network, error) {
-	return compileRecipeVI(r, cfg, paramSeed, batch, compiler.VIEvery{})
+	return compileRecipeVI(r, cfg, paramSeed, 1, compiler.VIEvery{})
 }
 
 // compileRecipeVI is the underlying lowering with an explicit interrupt-point
@@ -87,7 +83,7 @@ func compileRecipeVI(r Recipe, cfg accel.Config, paramSeed uint64, batch int, vi
 // budget compile must never fail: a failure here is an optimizer bug, not a
 // skip.
 func compileVictim(c Case, cfg accel.Config, paramSeed uint64) (*isa.Program, *model.Network, error) {
-	p, g, err := compileRecipeBatch(c.Recipe, cfg, paramSeed, c.BatchN())
+	p, g, err := compileRecipeVI(c.Recipe, cfg, paramSeed, c.BatchN(), compiler.VIEvery{})
 	if err != nil || c.PlacementCode == 0 {
 		return p, g, err
 	}
@@ -145,22 +141,27 @@ func RunCase(c Case) (RunStats, error) {
 		return stats, fmt.Errorf("golden rejects the compiled stream: %v", err)
 	}
 
+	// The victim's DDR image before it runs; every run starts from a copy.
+	initial, err := accel.NewArena(victim)
+	if err != nil {
+		return stats, err
+	}
+	for b, in := range inputs {
+		if err := accel.WriteInputAt(initial, victim, in, b); err != nil {
+			return stats, err
+		}
+	}
+
 	starts := make([]uint64, len(victim.Instrs))
 	soloTotal := accel.SoloReplay(cfg, victim, starts)
 
 	if c.Sched.Kind == KindCluster {
-		n, err := runClusterOnce(c, cfg, victim, probe, inputs, want, soloTotal)
+		n, err := runClusterOnce(c, cfg, victim, probe, initial, want, soloTotal)
 		stats.Runs++
 		stats.Preemptions += n
 		return stats, err
 	}
 
-	// One (probes, faults) plan per IAU run.
-	type plan struct {
-		label  string
-		cycles []uint64 // probe submit cycles, index-aligned with slots
-		slots  []int
-	}
 	var plans []plan
 	if c.Sched.Kind == KindSweep {
 		pts := victim.InterruptPoints()
@@ -173,19 +174,20 @@ func RunCase(c Case) (RunStats, error) {
 				label:  fmt.Sprintf("sweep@pc%d", pts[i]),
 				cycles: []uint64{starts[pts[i]]},
 				slots:  []int{c.Sched.VictimSlot - 1},
+				aim:    pts[i],
 			})
 		}
 	} else {
-		p := plan{label: c.Sched.Kind}
+		p := plan{label: c.Sched.Kind, aim: -1}
 		for _, pr := range c.Sched.Probes {
 			p.cycles = append(p.cycles, uint64(pr.Frac*float64(soloTotal)))
 			p.slots = append(p.slots, pr.Slot)
 		}
-		plans = append(plans, plan{label: p.label, cycles: p.cycles, slots: p.slots})
+		plans = append(plans, p)
 	}
 
 	for _, pl := range plans {
-		n, err := runOnce(c, cfg, victim, probe, inputs, want, pl.slots, pl.cycles, soloTotal)
+		n, err := runOnce(c, cfg, victim, probe, initial, want, pl, soloTotal)
 		stats.Runs++
 		stats.Preemptions += n
 		if err != nil {
@@ -195,21 +197,20 @@ func RunCase(c Case) (RunStats, error) {
 	return stats, nil
 }
 
-// runOnce performs a single IAU run of the victim under one probe plan and
-// checks equivalence and invariants. soloTotal (the victim's uninterrupted
-// runtime) scales the predictive axis's deadline.
-func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*tensor.Int8,
-	want []byte, slots []int, cycles []uint64, soloTotal uint64) (preempts int, err error) {
+// plan is one IAU run of a case: which probes arrive when.
+type plan struct {
+	label  string
+	cycles []uint64 // probe submit cycles, index-aligned with slots
+	slots  []int
+	aim    int // sweep: the interrupt point the probe is aimed at; -1 otherwise
+}
 
-	arena, err := accel.NewArena(victim)
-	if err != nil {
-		return 0, err
-	}
-	for b, in := range inputs {
-		if err := accel.WriteInputAt(arena, victim, in, b); err != nil {
-			return 0, err
-		}
-	}
+// playPlan runs one plan on a fresh IAU with the victim on arena (nil for a
+// timing-only replay); onPreempt, when set, observes every preemption.
+// soloTotal (the victim's uninterrupted runtime) scales the predictive
+// axis's deadline.
+func playPlan(c Case, cfg accel.Config, victim, probe *isa.Program, arena []byte, pl plan,
+	soloTotal uint64, onPreempt func(*iau.IAU, *iau.Preemption)) (*iau.IAU, []*iau.Request, error) {
 
 	u := iau.New(cfg, c.Policy)
 	defer u.Eng.Close()
@@ -218,8 +219,7 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 	// IAU's own cycle counters against the independently-emitted trace, and
 	// invariant 8 anchors response-bound measurements on the victim's
 	// start/resume marks (sized so small-case timelines rarely wrap).
-	tr := trace.New(1 << 13)
-	u.AttachTracer(tr)
+	u.AttachTracer(trace.New(1 << 13))
 	if c.Sched.FaultSeed != 0 {
 		inj := fault.New(c.Sched.FaultSeed)
 		inj.SetRate(fault.SiteBackup, c.Sched.BackupRate)
@@ -236,11 +236,33 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 		pol := sched.NewPredictive(cfg)
 		pol.Bind(c.Sched.VictimSlot, victim,
 			uint64(c.DeadlineFrac()*float64(soloTotal)), c.PredCold)
-		for _, slot := range slots {
+		for _, slot := range pl.slots {
 			pol.Bind(slot, probe, 0, c.PredCold)
 		}
 		u.Sched = pol
 	}
+	if onPreempt != nil {
+		u.OnPreempt = func(pr *iau.Preemption) { onPreempt(u, pr) }
+	}
+
+	reqs := []*iau.Request{{Label: "victim", Prog: victim, Arena: arena}}
+	if err := u.Submit(c.Sched.VictimSlot, reqs[0]); err != nil {
+		return u, reqs, err
+	}
+	for i, slot := range pl.slots {
+		r := &iau.Request{Label: fmt.Sprintf("probe%d", i), Prog: probe}
+		reqs = append(reqs, r)
+		if err := u.SubmitAt(slot, r, pl.cycles[i]); err != nil {
+			return u, reqs, err
+		}
+	}
+	return u, reqs, u.RunAll()
+}
+
+// runOnce performs a single IAU run of the victim under one plan and checks
+// equivalence and invariants.
+func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, initial,
+	want []byte, pl plan, soloTotal uint64) (preempts int, err error) {
 
 	progOn := func(slot int) *isa.Program {
 		if slot == c.Sched.VictimSlot {
@@ -252,7 +274,7 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 	// Invariant: after every preemption event the victim slot's registers
 	// must describe a legal boundary for the active policy.
 	var violations []string
-	u.OnPreempt = func(pr *iau.Preemption) {
+	legality := func(u *iau.IAU, pr *iau.Preemption) {
 		regs := u.Registers(pr.Victim)
 		ins := progOn(pr.Victim).Instrs
 		pc := regs.InstrAddr
@@ -290,19 +312,9 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 		}
 	}
 
-	reqs := []*iau.Request{{Label: "victim", Prog: victim, Arena: arena}}
-	if err := u.Submit(c.Sched.VictimSlot, reqs[0]); err != nil {
-		return 0, err
-	}
-	for i, slot := range slots {
-		r := &iau.Request{Label: fmt.Sprintf("probe%d", i), Prog: probe}
-		reqs = append(reqs, r)
-		if err := u.SubmitAt(slot, r, cycles[i]); err != nil {
-			return 0, err
-		}
-	}
-
-	if err := u.RunAll(); err != nil {
+	arena := bytes.Clone(initial)
+	u, reqs, err := playPlan(c, cfg, victim, probe, arena, pl, soloTotal, legality)
+	if err != nil {
 		return len(u.Preemptions), fmt.Errorf("IAU run failed: %v", err)
 	}
 	preempts = len(u.Preemptions)
@@ -310,15 +322,7 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 	// 1. Bit-exact equivalence with the golden interpreter, whole arena:
 	// input and weights untouched, every layer's output identical.
 	if !bytes.Equal(want, arena) {
-		n, first := 0, -1
-		for i := range want {
-			if want[i] != arena[i] {
-				n++
-				if first < 0 {
-					first = i
-				}
-			}
-		}
+		n, first := diffBytes(want, arena)
 		region := "featuremap"
 		for li := range victim.Layers {
 			l := &victim.Layers[li]
@@ -388,7 +392,7 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 	// each emission site, so its per-kind sums must reproduce the IAU's own
 	// accounting exactly — busy time from calc/xfer/backup/restore spans,
 	// and fetch/stall from the virtual-instruction and injected-stall spans.
-	m := tr.Metrics()
+	m := u.Tracer.Metrics()
 	var traceBusy, traceFetch, traceStall uint64
 	for i := range m.Tasks {
 		t := &m.Tasks[i]
@@ -415,7 +419,7 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 	// The predictive axis is exempt: its cost model may legitimately defer
 	// a switch past the next interrupt point.
 	if !c.Predictive && c.Sched.FaultSeed == 0 {
-		events := tr.Events()
+		events := u.Tracer.Events()
 		for _, pr := range u.Preemptions {
 			if pr.Method != iau.PolicyVI {
 				continue
@@ -450,6 +454,49 @@ func runOnce(c Case, cfg accel.Config, victim, probe *isa.Program, inputs []*ten
 					pr.Victim, pr.VictimPC, got, bound, pr.RequestCycle, anchor, pr.BoundaryCycle, pr.BackupDoneCycle)
 			}
 		}
+		// A sweep probe is aimed with the solo timeline, so under VI the
+		// victim's first switch must be the interrupt point it was aimed at.
+		if pl.aim >= 0 && c.Policy == iau.PolicyVI && (preempts == 0 || u.Preemptions[0].VictimPC != pl.aim) {
+			return preempts, fmt.Errorf("sweep probe aimed at interrupt point pc%d missed it (%d preemptions)", pl.aim, preempts)
+		}
+	}
+
+	// 9. One cycle model: the plan replayed timing-only (no arena) must agree
+	// with this run on every cycle it reports.
+	tu, treqs, err := playPlan(c, cfg, victim, probe, nil, pl, soloTotal, nil)
+	if err != nil {
+		return preempts, fmt.Errorf("timing-only replay failed: %v", err)
+	}
+	if f, t := cycleLedger(u, reqs), cycleLedger(tu, treqs); !reflect.DeepEqual(f, t) {
+		return preempts, fmt.Errorf("functional and timing-only runs disagree (now busy idle calc xfer hidden, preemptions, per request exec fetch stall done):\n  %+v\n  %+v", f, t)
 	}
 	return preempts, nil
+}
+
+// cycleLedger lists what invariant 9 holds equal between a functional run
+// and its timing-only replay.
+func cycleLedger(u *iau.IAU, reqs []*iau.Request) []any {
+	calc, xfer, hidden := u.Eng.CycleStats()
+	l := []any{u.Now, u.BusyCycles, u.IdleCycles, calc, xfer, hidden}
+	for _, p := range u.Preemptions {
+		l = append(l, *p)
+	}
+	for _, r := range reqs {
+		l = append(l, [4]uint64{r.ExecCycles, r.FetchCycles, r.StallCycles, r.DoneCycle})
+	}
+	return l
+}
+
+// diffBytes counts the bytes on which got differs from want and finds the
+// first of them (-1 if none).
+func diffBytes(want, got []byte) (n, first int) {
+	first = -1
+	for i := range want {
+		if want[i] != got[i] {
+			if n++; first < 0 {
+				first = i
+			}
+		}
+	}
+	return n, first
 }

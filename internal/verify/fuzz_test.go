@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"inca/internal/accel"
+	"inca/internal/compiler"
 	"inca/internal/golden"
 	"inca/internal/iau"
 	"inca/internal/isa"
@@ -59,7 +60,7 @@ func FuzzCompileRun(f *testing.F) {
 		r := randomRecipe(d)
 		cfg := Configs()[d.Intn(len(Configs()))]
 		batch := []int{1, 1, 2, 4, 8}[d.Intn(5)]
-		p, g, err := compileRecipeBatch(r, cfg, d.Uint64()|1, batch)
+		p, g, err := compileRecipeVI(r, cfg, d.Uint64()|1, batch, compiler.VIEvery{})
 		if err != nil {
 			t.Skip(err)
 		}
