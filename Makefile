@@ -25,9 +25,11 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Datapath micro-benchmarks (MACs/s per layer shape, snapshot round trip),
-# the IAU's timing-only stepping cost (ns/instr, Mcycles/s: the in-module view
-# of the benchmark's preempt_mix and dslam_mission host numbers) and the
-# functional datapath end to end through the IAU (MACs/s per worker count).
+# the IAU's timing-only cost (Mcycles/s, the headline, and ns/instr: the
+# in-module view of the benchmark's preempt_mix and dslam_mission host
+# numbers; a solo run is one jump on the program's plan, FE every 20 ms
+# measures the stepping between arrivals) and the functional datapath end to
+# end through the IAU (MACs/s per worker count).
 # The experiment tables are `inca-bench -e`, not testing.B benchmarks.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/accel
@@ -117,7 +119,7 @@ progcheck:
 
 # Total-statement-coverage gate with a ratcheted floor: raise COVER_FLOOR
 # when coverage grows, never lower it to dodge a regression.
-COVER_FLOOR ?= 81.8
+COVER_FLOOR ?= 82.0
 COVERPROFILE ?= out/cover.out
 cover:
 	@mkdir -p $(dir $(COVERPROFILE))

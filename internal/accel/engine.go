@@ -47,9 +47,7 @@ type Engine struct {
 	// Cycle-model constants hoisted from Cfg at construction (DESIGN.md
 	// §21). They feed the same xferCycles/calcCycles formulas Config's
 	// XferCycles and InstrCycles evaluate: one model, read twice.
-	bpc       float64 // Cfg.BytesPerCycle()
-	xferSetup uint64  // Cfg.XferSetupCycles
-	creditCap uint64  // Cfg.XferCycles(PrefetchBytes)
+	cycleModel
 	// calcPrice is the CALC price of layer calcLayer of calcProg, the layer
 	// of the last CALC (a layer's CALCs come in runs, so one entry is the
 	// whole cache). Host state only: Invalidate leaves it.
@@ -102,10 +100,7 @@ type finalTile struct {
 
 // NewEngine returns an engine for the given configuration.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{Cfg: cfg, workers: resolveWorkers(cfg.Workers), useRef: forceReferenceConv}
-	e.bpc = cfg.BytesPerCycle()
-	e.xferSetup = uint64(cfg.XferSetupCycles)
-	e.creditCap = cfg.XferCycles(uint32(cfg.PrefetchBytes))
+	e := &Engine{Cfg: cfg, cycleModel: modelOf(cfg), workers: resolveWorkers(cfg.Workers), useRef: forceReferenceConv}
 	e.Invalidate()
 	return e
 }
@@ -302,7 +297,7 @@ func (e *Engine) ExecRef(arena []byte, p *isa.Program, in *isa.Instruction, skip
 	case isa.OpCalcI, isa.OpCalcF:
 		if p != e.calcProg || int(in.Layer) != e.calcLayer {
 			e.calcProg, e.calcLayer = p, int(in.Layer)
-			e.calcPrice = calcCycles(&p.Layers[in.Layer], e.Cfg.CalcPipeCycles)
+			e.calcPrice = calcCycles(&p.Layers[in.Layer], e.calcPipe)
 		}
 		cycles = e.calcPrice
 		e.credit += cycles

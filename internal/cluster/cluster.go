@@ -259,8 +259,7 @@ type cluster struct {
 	deadlines    []uint64 // task deadlines by id, for final SLA accounting
 	stats        Stats
 
-	solo    map[*isa.Program]uint64 // cached solo runtimes for feasibility
-	checked map[*isa.Program]error  // cached static-verification verdicts
+	checked map[*isa.Program]error // cached static-verification verdicts
 
 	// worstYield is the largest compiler-proven ResponseBound across the
 	// run's programs: the longest any admitted task can wait for a running
@@ -279,7 +278,8 @@ type Result struct {
 }
 
 // SoloCycles returns a program's uninterrupted runtime on cfg (timing-only
-// replay, no arena) — the feasibility estimate admission control uses.
+// replay, no arena) — the feasibility estimate admission control uses. It
+// reads the program's plan, so only the first call per program pays for it.
 func SoloCycles(cfg accel.Config, p *isa.Program) uint64 {
 	return accel.SoloReplay(cfg, p, nil)
 }
@@ -350,7 +350,6 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	c := &cluster{
 		cfg:     cfg,
 		taskOf:  make(map[*iau.Request]*taskState),
-		solo:    make(map[*isa.Program]uint64),
 		checked: make(map[*isa.Program]error),
 	}
 	c.outcomes = make([]Outcome, len(tasks))

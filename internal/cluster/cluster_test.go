@@ -392,16 +392,22 @@ func TestClusterRunRejectsBadArgs(t *testing.T) {
 
 // TestSoloCyclesIsTheIAUsSoloRun: the admission estimate is the one engine
 // replay (accel.SoloReplay) — it ends on the cycle a lone IAU run of the
-// stream ends on, recording per-instruction starts does not move it, and
-// without a starts column it allocates nothing sized by the stream.
+// stream ends on, and recording per-instruction starts does not move it. The
+// first call lowers the program's plan; every later one reads it and
+// allocates nothing, whatever the stream's length.
 func TestSoloCyclesIsTheIAUsSoloRun(t *testing.T) {
 	cfg := testAccel()
 	w, err := NewWorkload(cfg, WorkloadConfig{Tasks: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocated := make(map[int]uint64) // bytes allocated by SoloCycles, by stream length
+	lengths := map[int]bool{}
 	for i, p := range w.Progs {
+		got := SoloCycles(cfg, p)
+		plan := p.Plan
+		if plan == nil {
+			t.Fatalf("prog %d: the first SoloCycles left no plan on the program", i)
+		}
 		u := iau.New(cfg, iau.PolicyVI)
 		if err := u.Submit(1, &iau.Request{Label: "solo", Prog: p}); err != nil {
 			t.Fatal(err)
@@ -410,7 +416,6 @@ func TestSoloCyclesIsTheIAUsSoloRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		u.Eng.Close()
-		got := SoloCycles(cfg, p)
 		if got != u.Now {
 			t.Errorf("prog %d: SoloCycles %d, a lone IAU run ends at %d", i, got, u.Now)
 		}
@@ -427,14 +432,12 @@ func TestSoloCyclesIsTheIAUsSoloRun(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		SoloCycles(cfg, p)
 		runtime.ReadMemStats(&after)
-		allocated[len(p.Instrs)] = after.TotalAlloc - before.TotalAlloc
-	}
-	if len(allocated) < 2 {
-		t.Fatalf("need programs of different lengths, got %v", allocated)
-	}
-	for n, b := range allocated {
-		if b != allocated[len(w.Progs[0].Instrs)] {
-			t.Errorf("SoloCycles allocation depends on stream length (%d instructions: %d B): %v", n, b, allocated)
+		if b := after.TotalAlloc - before.TotalAlloc; b != 0 || p.Plan != plan {
+			t.Errorf("prog %d (%d instructions): a later SoloCycles allocated %d B and replaced the plan: %v", i, len(p.Instrs), b, p.Plan != plan)
 		}
+		lengths[len(p.Instrs)] = true
+	}
+	if len(lengths) < 2 {
+		t.Fatalf("need programs of different lengths, got %v", lengths)
 	}
 }

@@ -366,7 +366,7 @@ func (c *cluster) admit(ts *taskState, cycle uint64) {
 		// Solo runtime plus the worst proven preemption-response bound in
 		// the mix: even a top-priority arrival can wait that long for the
 		// running victim to reach an interrupt point and back up.
-		if c.soloCycles(ts.task.Prog)+c.worstYield > ts.task.Deadline {
+		if SoloCycles(c.cfg.Accel, ts.task.Prog)+c.worstYield > ts.task.Deadline {
 			c.reject(ts, ShedInfeasible, cycle)
 			return
 		}
@@ -492,7 +492,6 @@ func (c *cluster) place(ts *taskState, e *engine, cycle uint64) error {
 	return nil
 }
 
-// soloCycles memoises SoloCycles per program.
 // verifyProg statically verifies a program against the cluster's
 // accelerator config (layout, restore groups, interrupt points, and the
 // ResponseBound re-derivation), caching the verdict per program pointer —
@@ -504,13 +503,4 @@ func (c *cluster) verifyProg(p *isa.Program) error {
 	err := progcheck.Check(p, c.cfg.Accel)
 	c.checked[p] = err
 	return err
-}
-
-func (c *cluster) soloCycles(p *isa.Program) uint64 {
-	if v, ok := c.solo[p]; ok {
-		return v
-	}
-	v := SoloCycles(c.cfg.Accel, p)
-	c.solo[p] = v
-	return v
 }

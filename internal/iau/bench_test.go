@@ -13,13 +13,15 @@ import (
 
 // BenchmarkIAUTimingOnly is the in-module view of what the benchmark's
 // preempt_mix and dslam_mission workloads spend their host time on: the IAU
-// stepping a timing-only stream. One op is one ResNet-101 120x160 (PR) run on
-// a reused IAU — alone, and with a SuperPoint 120x160 (FE) arriving a third
-// of the way in and preempting it (the paper's Fig. 5 pair). Submission,
-// admission and the first instruction happen with the timer stopped, so
-// pr-alone times one uninterrupted stretch and must report 0 allocs/op; the
-// pair adds the per-event records (arrival pop, Preemption) and nothing per
-// instruction.
+// running timing-only streams. A ResNet-101 120x160 (PR) runs on a reused
+// IAU, submission included: alone (one stretch, a single jump on the
+// program's plan, DESIGN.md §26); with a SuperPoint 120x160 (FE) arriving a
+// third of the way in and preempting it (the paper's Fig. 5 pair); and as a
+// closed loop under ten FE frames 20 ms apart (the DSLAM frame rate), where
+// each resume steps until the engine's prefetch credit rejoins the plan.
+// Mcycles/s is the headline; ns/instr divides the op by the instructions it
+// retires, jumped or stepped. Requests are reused, so what allocates is per
+// event (the arrival heap, Preemption records), never per instruction.
 func BenchmarkIAUTimingOnly(b *testing.B) {
 	cfg := accel.Big()
 	g, err := model.NewResNet(101, 3, 120, 160)
@@ -28,49 +30,62 @@ func BenchmarkIAUTimingOnly(b *testing.B) {
 	}
 	pr := timingProg(b, g, cfg, true)
 	fe := timingProg(b, model.NewSuperPoint(120, 160), cfg, false)
-	solo := iau.New(cfg, iau.PolicyVI)
-	if err := solo.Submit(1, &iau.Request{Prog: pr}); err != nil {
-		b.Fatal(err)
+	frame := cfg.SecondsToCycles(0.020)
+	var frames []uint64
+	for k := uint64(1); k <= 10; k++ {
+		frames = append(frames, k*frame)
 	}
-	if err := solo.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-
-	for _, withFE := range []bool{false, true} {
-		name, instrs := "pr-alone", len(pr.Instrs)
-		if withFE {
-			name, instrs = "fe-preempts-pr", len(pr.Instrs)+len(fe.Instrs)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		fe   []uint64 // FE arrival cycles after the op's start
+		loop bool     // resubmit PR on completion until the last FE arrival
+	}{
+		{"pr-alone", nil, false},
+		{"fe-preempts-pr", []uint64{accel.SoloReplay(cfg, pr, nil) / 3}, false},
+		{"fe-every-20ms", frames, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			u := iau.New(cfg, iau.PolicyVI)
-			var cycles uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				u.Completions, u.Preemptions = u.Completions[:0], u.Preemptions[:0]
-				start := u.Now
-				if err := u.Submit(1, &iau.Request{Label: "PR", Prog: pr}); err != nil {
-					b.Fatal(err)
-				}
-				if withFE {
-					if err := u.SubmitAt(0, &iau.Request{Label: "FE", Prog: fe}, start+solo.Now/3); err != nil {
+			prReq, feReqs := new(iau.Request), make([]iau.Request, len(bc.fe))
+			var until uint64
+			u.OnComplete = func(c iau.Completion) {
+				if bc.loop && c.Req == prReq && u.Now < until {
+					*prReq = iau.Request{Label: "PR", Prog: pr}
+					if err := u.Submit(1, prReq); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if err := u.Run(start + 1); err != nil {
+			}
+			var cycles uint64
+			instrs := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				u.Completions, u.Preemptions = u.Completions[:0], u.Preemptions[:0]
+				start := u.Now
+				*prReq = iau.Request{Label: "PR", Prog: pr}
+				if err := u.Submit(1, prReq); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
+				for k, at := range bc.fe {
+					feReqs[k] = iau.Request{Label: "FE", Prog: fe}
+					if err := u.SubmitAt(0, &feReqs[k], start+at); err != nil {
+						b.Fatal(err)
+					}
+					until = start + at
+				}
 				if err := u.RunAll(); err != nil {
 					b.Fatal(err)
 				}
 				cycles += u.Now - start
+				for _, c := range u.Completions {
+					instrs += len(c.Req.Prog.Instrs)
+				}
 			}
-			if withFE && len(u.Preemptions) != 1 {
-				b.Fatalf("%d preemptions per op, want 1", len(u.Preemptions))
+			if len(u.Preemptions) != len(bc.fe) {
+				b.Fatalf("%d preemptions per op, want %d", len(u.Preemptions), len(bc.fe))
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
 			b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 		})
 	}
 }

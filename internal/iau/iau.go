@@ -397,6 +397,7 @@ type IAU struct {
 	arrivals arrivalHeap
 	seq      int
 	running  int // slot currently executing, or -1
+	execs    int // execOne calls: the tests' view of how much a run stepped
 }
 
 // New creates an IAU for the given accelerator configuration and policy.
@@ -561,6 +562,9 @@ func (u *IAU) Run(horizon uint64) error {
 		}
 		t := u.slots[u.running]
 		for {
+			if quiet {
+				u.jump(t, limit)
+			}
 			if err := u.execOne(t); err != nil {
 				return err
 			}
@@ -569,6 +573,28 @@ func (u *IAU) Run(horizon uint64) error {
 			}
 		}
 	}
+}
+
+// jump skips a quiet stretch ahead on the program's plan instead of stepping
+// it (DESIGN.md §26): the task moves to the instruction whose completion
+// reaches limit, or to its END, and the caller's execOne runs that one as
+// usual. Only timing-only, untraced, fault-free stretches jump, from a
+// position the plan describes (no pending SAVE rewrite, the plan's prefetch
+// credit) and when no instruction on the plan could trip the watchdog.
+func (u *IAU) jump(t *task, limit uint64) {
+	if t.cur.Arena != nil || u.Tracer != nil || u.Faults != nil || t.saveValid {
+		return
+	}
+	pl := u.Eng.PlanFor(t.cur.Prog)
+	if u.WatchdogCycles > 0 && pl.MaxInstr > u.WatchdogCycles {
+		return
+	}
+	to, exec, fetch := u.Eng.Jump(pl, t.pc, limit-u.Now)
+	u.Now += exec + fetch
+	u.BusyCycles += exec
+	t.cur.ExecCycles += exec
+	t.cur.FetchCycles += fetch
+	t.pc = to
 }
 
 // readySlots returns the runnable slots (Ready or Preempted) in static
@@ -1167,6 +1193,7 @@ func (u *IAU) backupSpan(p *isa.Program, in isa.Instruction) (lo, hi int) {
 
 // execOne runs the next instruction of the running task.
 func (u *IAU) execOne(t *task) error {
+	u.execs++
 	t.fresh = false
 	in := &t.cur.Prog.Instrs[t.pc]
 	if in.Op == isa.OpEnd {

@@ -33,9 +33,20 @@ type scenario struct {
 	functional bool
 	delta      int // the first preemptor lands delta cycles off a victim instruction boundary
 	seed       uint64
+
+	// A named cell (oracleSet.cells) pins a case the matrix reaches only by
+	// chance. urgentAt, when set, replaces the matrix's arrivals with one
+	// urgent request on the lone victim at that cycle; cfg, when set,
+	// replaces the set's accelerator configuration.
+	cell     string
+	urgentAt uint64
+	cfg      *accel.Config
 }
 
 func (sc scenario) String() string {
+	if sc.cell != "" {
+		return fmt.Sprintf("%v/%s/cell=%s", sc.policy, sc.sched, sc.cell)
+	}
 	return fmt.Sprintf("%v/%s/faults=%v/tracer=%v/functional=%v/delta=%+d", sc.policy, sc.sched, sc.faults, sc.tracer, sc.functional, sc.delta)
 }
 
@@ -192,12 +203,17 @@ func (s *oracleSet) request(t *testing.T, label string, p *isa.Program, function
 	return r
 }
 
-// play runs one scenario under one loop and reports what happened.
-func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
+// play runs one scenario under one loop and reports what happened, and how
+// many instructions the loop ran one at a time rather than jumped over.
+func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) (*observed, int) {
 	t.Helper()
 	draw := rand.New(rand.NewSource(int64(sc.seed))).Intn
 	obs := &observed{}
-	u := iau.New(s.cfg, sc.policy)
+	cfg := s.cfg
+	if sc.cfg != nil {
+		cfg = *sc.cfg
+	}
+	u := iau.New(cfg, sc.policy)
 	u.EnableTrace = true
 
 	var tr *trace.Tracer
@@ -212,7 +228,7 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 		fake = &fakeSched{}
 		u.Sched = fake
 	case "predictive":
-		pol = sched.NewPredictive(s.cfg, sched.WithDecisionTrace(tr))
+		pol = sched.NewPredictive(cfg, sched.WithDecisionTrace(tr))
 		pol.Bind(0, s.urgent, 40000, false)
 		pol.Bind(1, s.victim, 0, false)
 		pol.Bind(2, s.lower, 90000, false) // slot 3 stays unbound: cold → static fallback
@@ -222,7 +238,7 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 		u.Faults = fault.New(sc.seed).
 			SetRate(fault.SiteStall, 0.02).SetRate(fault.SiteHang, 0.004).
 			SetRate(fault.SiteIRQLost, 0.3).SetRate(fault.SiteBackup, 0.3)
-		u.WatchdogCycles = iau.WatchdogBound(s.cfg, s.victim, s.urgent, s.lower)
+		u.WatchdogCycles = iau.WatchdogBound(cfg, s.victim, s.urgent, s.lower)
 		u.SalvageCheckpoints = true
 	}
 
@@ -268,11 +284,15 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 	k := len(bounds)/8 + draw(len(bounds)/3)
 	first := uint64(int(bounds[k]) + sc.delta)
 	submit(1, "V", s.victim, 0, false)
-	submit(2, "L", s.lower, bounds[k/2], false) // lower priority, runnable while V runs
-	submit(0, "U", s.urgent, first, false)
-	submit(0, "U-drop", s.urgent, first+uint64(draw(6000)), true)
-	submit(0, "U", s.urgent, first+uint64(8000+draw(30000)), false)
-	submit(1, "V", s.victim, first+uint64(draw(20000)), false)
+	if sc.urgentAt > 0 {
+		submit(0, "U", s.urgent, sc.urgentAt, false)
+	} else {
+		submit(2, "L", s.lower, bounds[k/2], false) // lower priority, runnable while V runs
+		submit(0, "U", s.urgent, first, false)
+		submit(0, "U-drop", s.urgent, first+uint64(draw(6000)), true)
+		submit(0, "U", s.urgent, first+uint64(8000+draw(30000)), false)
+		submit(1, "V", s.victim, first+uint64(draw(20000)), false)
+	}
 
 	// Half the scenarios run to completion in one call, the others in seeded
 	// slices so the horizon cuts stretches at arbitrary cycles.
@@ -324,7 +344,7 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) *observed {
 	if pol != nil {
 		obs.Decisions, obs.Ests = pol.Counters()
 	}
-	return obs
+	return obs, u.ExecCount()
 }
 
 // oracleMatrix is the scenario matrix: interrupt method × scheduler × faults ×
@@ -340,7 +360,7 @@ func oracleMatrix() []scenario {
 					for _, functional := range []bool{false, true} {
 						for _, delta := range []int{0, -1, +1} {
 							seed++
-							out = append(out, scenario{policy, schedName, faults, tracer, functional, delta, seed})
+							out = append(out, scenario{policy: policy, sched: schedName, faults: faults, tracer: tracer, functional: functional, delta: delta, seed: seed})
 						}
 					}
 				}
@@ -350,20 +370,90 @@ func oracleMatrix() []scenario {
 	return out
 }
 
-// TestRunMatchesStepwise: over the whole matrix, Run and the per-instruction
-// loop it replaced agree on the clock, the busy/idle split, every completion,
-// preemption and slot-reset record, every request counter and arena, the
-// fault statistics and draw counts, the engine's cycle classes, the timeline,
-// the serialized tracer output, every callback, and — call for call, argument
-// for argument — on what they asked the Scheduler.
+// cells are the named cells. Two make a jump wait: after a VI resume the
+// engine's credit is drained while the plan's at the resume pc is not, and a
+// resume at a Vir_SAVE point sets the SAVE-rewrite register, so the stretch
+// steps until the credit rejoins the plan or the SAVE clears the register.
+// Two run the set under a second cycle model and then the first again, each
+// on a fresh IAU, so a plan lowered for one model is never read by the other.
+func (s *oracleSet) cells(t *testing.T) []scenario {
+	t.Helper()
+	serving := s.cfg
+	serving.DDRBandwidthGBps, serving.PrefetchBytes = 1.6, 96<<10
+	vi := scenario{policy: iau.PolicyVI, sched: "static", seed: 0x2ACA}
+	offPlan, saveValid, other, first := vi, vi, vi, vi
+	offPlan.cell, offPlan.urgentAt = "resume-off-plan", s.resumeArrival(t, false)
+	saveValid.cell, saveValid.urgentAt = "resume-save-valid", s.resumeArrival(t, true)
+	other.cell, other.cfg = "serving-config", &serving
+	first.cell, first.cfg = "first-config-again", &s.cfg
+	return []scenario{offPlan, saveValid, other, first}
+}
+
+// resumeArrival returns an urgent arrival cycle that preempts the lone victim
+// at an interrupt point whose resume leaves the SAVE-rewrite register set
+// (saveValid) or clear, and the engine's credit off the plan either way.
+func (s *oracleSet) resumeArrival(t *testing.T, saveValid bool) uint64 {
+	t.Helper()
+	p := s.victim
+	for pc := len(p.Instrs) / 8; pc < len(p.Instrs); pc++ {
+		if !p.IsInterruptPoint(pc) || (p.Instrs[pc].Op == isa.OpVirSave) != saveValid {
+			continue
+		}
+		at := s.bounds[pc-1] // the victim's solo boundary before pc
+		u := iau.New(s.cfg, iau.PolicyVI)
+		if err := u.Submit(1, s.request(t, "V", s.victim, false)); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.SubmitAt(0, s.request(t, "U", s.urgent, false), at); err != nil {
+			t.Fatal(err)
+		}
+		for u.Pending() && (len(u.Preemptions) == 0 || !u.Preemptions[0].Resumed) {
+			if err := u.Run(u.Now + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(u.Preemptions) == 0 || u.Preemptions[0].VictimPC != pc {
+			continue
+		}
+		if sv, onPlan := u.StretchState(); sv == saveValid && !onPlan {
+			return at
+		}
+	}
+	t.Fatalf("no interrupt point of the victim resumes with saveValid=%v and the credit off the plan", saveValid)
+	return 0
+}
+
+// jumps reports whether a cell's Run may jump: a timing-only, untraced,
+// fault-free cell (iau.jump's conditions on the run).
+func (sc scenario) jumps() bool { return !sc.functional && !sc.tracer && !sc.faults }
+
+// TestRunMatchesStepwise: over the whole matrix and the named cells, Run and
+// the per-instruction loop it replaced agree on the clock, the busy/idle
+// split, every completion, preemption and slot-reset record, every request
+// counter and arena, the fault statistics and draw counts, the engine's cycle
+// classes, the timeline, the serialized tracer output, every callback, and —
+// call for call, argument for argument — on what they asked the Scheduler.
+// Every cell that may jump must jump: Run steps fewer instructions than the
+// referee there, so the comparison is never between two stepping loops.
 func TestRunMatchesStepwise(t *testing.T) {
 	s := newOracleSet(t)
-	var preempts, kills, drops, contends, picks int
-	for _, sc := range oracleMatrix() {
-		want := s.play(t, sc, iau.RunStepwise)
-		got := s.play(t, sc, (*iau.IAU).Run)
+	var preempts, kills, drops, contends, picks, jumped int
+	plans := map[any]bool{}
+	cells := append(oracleMatrix(), s.cells(t)...)
+	for _, sc := range cells {
+		want, stepped := s.play(t, sc, iau.RunStepwise)
+		got, execs := s.play(t, sc, (*iau.IAU).Run)
 		if d := got.diff(want); d != "" {
 			t.Errorf("%v (seed %#x): Run vs runStepwise: %s", sc, sc.seed, d)
+		}
+		if sc.jumps() {
+			if execs >= stepped {
+				t.Errorf("%v: Run stepped %d instructions, the referee %d: the cell never jumped", sc, execs, stepped)
+			}
+			jumped++
+		}
+		if sc.cfg != nil {
+			plans[s.victim.Plan] = true
 		}
 		preempts += len(want.Preemptions)
 		kills += want.Fault.WatchdogKills
@@ -386,28 +476,38 @@ func TestRunMatchesStepwise(t *testing.T) {
 		t.Fatalf("matrix too tame: %d preemptions, %d watchdog kills, %d drops, %d Contend and %d PickReady calls",
 			preempts, kills, drops, contends, picks)
 	}
-	t.Logf("%d scenarios: %d preemptions, %d watchdog kills, %d drops, %d Contend / %d PickReady calls compared",
-		len(oracleMatrix()), preempts, kills, drops, contends, picks)
+	if len(plans) != 2 {
+		t.Errorf("the two configuration cells left %d distinct plans on the victim, want 2 (one lowered per model)", len(plans))
+	}
+	t.Logf("%d scenarios (%d jumping): %d preemptions, %d watchdog kills, %d drops, %d Contend / %d PickReady calls compared",
+		len(cells), jumped, preempts, kills, drops, contends, picks)
 }
 
 // TestOracleCatchesSeededBreaks shows the oracle has teeth: a faithful copy
-// of Run passes every cell, and the same copy with either mistake seeded into
-// its quiet condition fails at least one.
+// of Run passes every cell, and the same copy with any one mistake seeded into
+// its quiet condition or its jump fails at least one.
 func TestOracleCatchesSeededBreaks(t *testing.T) {
 	s := newOracleSet(t)
+	cells := append(oracleMatrix(), s.cells(t)...)
 	for _, brk := range []struct {
 		name       string
 		brk        iau.StretchBreak
 		wantCaught bool
+		jumpOnly   bool // a jump's mistake: only cells that may jump can show it
 	}{
-		{"faithful copy", iau.BreakNone, false},
-		{"stretch ignores arrivals[0]", iau.BreakIgnoreArrivals, true},
-		{"lower-priority slot runnable counts as quiet under a Scheduler", iau.BreakStaticQuiet, true},
+		{"faithful copy", iau.BreakNone, false, false},
+		{"stretch ignores arrivals[0]", iau.BreakIgnoreArrivals, true, false},
+		{"lower-priority slot runnable counts as quiet under a Scheduler", iau.BreakStaticQuiet, true, false},
+		{"jump also runs the crossing instruction", iau.BreakJumpRunsCrossing, true, true},
+		{"jump leaves the engine credit unchanged", iau.BreakJumpKeepsCredit, true, true},
 	} {
 		caught, example := 0, ""
-		for _, sc := range oracleMatrix() {
-			want := s.play(t, sc, iau.RunStepwise)
-			got := s.play(t, sc, func(u *iau.IAU, h uint64) error { return u.RunBroken(h, brk.brk) })
+		for _, sc := range cells {
+			if brk.jumpOnly && !sc.jumps() {
+				continue
+			}
+			want, _ := s.play(t, sc, iau.RunStepwise)
+			got, _ := s.play(t, sc, func(u *iau.IAU, h uint64) error { return u.RunBroken(h, brk.brk) })
 			if d := got.diff(want); d != "" {
 				if caught++; example == "" {
 					example = fmt.Sprintf("%v: %s", sc, d)

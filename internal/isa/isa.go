@@ -242,6 +242,13 @@ type Program struct {
 	// OutputAddr/OutputBytes locate the final output featuremap.
 	OutputAddr  uint32
 	OutputBytes uint32
+
+	// Plan is host state, not program content: the accelerator model's
+	// timing plan of this stream (accel.Plan), lowered on first use. The
+	// codec never writes it, and the plan records the Program it was lowered
+	// from, so a copy of the struct (or a Relocate/Link result) re-lowers
+	// instead of trusting it.
+	Plan any
 }
 
 // BatchN returns the effective batch size of the program (at least 1).

@@ -214,12 +214,16 @@ func playPlan(c Case, cfg accel.Config, victim, probe *isa.Program, arena []byte
 
 	u := iau.New(cfg, c.Policy)
 	defer u.Eng.Close()
-	// A tracer rides along on every run: its aggregates are exact even
-	// after the timeline ring wraps, so invariant 7 can cross-check the
+	// A tracer rides along on every functional run: its aggregates are exact
+	// even after the timeline ring wraps, so invariant 7 can cross-check the
 	// IAU's own cycle counters against the independently-emitted trace, and
 	// invariant 8 anchors response-bound measurements on the victim's
-	// start/resume marks (sized so small-case timelines rarely wrap).
-	u.AttachTracer(trace.New(1 << 13))
+	// start/resume marks (sized so small-case timelines rarely wrap). The
+	// timing-only replay runs untraced, so invariant 9 holds the stepping
+	// functional run against a replay that jumps (DESIGN.md §26).
+	if arena != nil {
+		u.AttachTracer(trace.New(1 << 13))
+	}
 	if c.Sched.FaultSeed != 0 {
 		inj := fault.New(c.Sched.FaultSeed)
 		inj.SetRate(fault.SiteBackup, c.Sched.BackupRate)
