@@ -129,15 +129,19 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 	  { echo "FAIL: coverage $$total% below ratchet floor $(COVER_FLOOR)%"; exit 1; }
 
-# Trace smoke: the seeded two-task preemption workload must produce a
-# Perfetto-loadable trace (WriteFiles re-parses it through the validator
-# before anything reaches disk) plus a metrics snapshot beside it.
+# Trace smoke: the seeded two-task preemption workload, and inca-sim's
+# default mix with its Gantt chart and timeline read off the same tracer,
+# must each produce a Perfetto-loadable trace (WriteFiles re-parses it
+# through the validator before anything reaches disk) plus a metrics
+# snapshot beside it.
 TRACEOUT ?= out/trace.json
 trace:
 	@mkdir -p $(dir $(TRACEOUT))
 	$(GO) run ./cmd/inca-bench -trace $(TRACEOUT) -trace-cap 4096
+	$(GO) run ./cmd/inca-sim -duration 300ms -gantt -timeline -trace $(dir $(TRACEOUT))sim.json > /dev/null
 	@test -s $(TRACEOUT) && test -s $(basename $(TRACEOUT)).metrics.json && \
-	  echo "trace smoke ok: $(TRACEOUT)"
+	  test -s $(dir $(TRACEOUT))sim.json && test -s $(dir $(TRACEOUT))sim.metrics.json && \
+	  echo "trace smoke ok: $(TRACEOUT) $(dir $(TRACEOUT))sim.json"
 
 # Chaos gate: the two-agent DSLAM mission under injected snapshot
 # corruption, stalls, hangs, lost IRQs and message faults must keep a

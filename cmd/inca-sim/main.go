@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -44,30 +46,45 @@ func (t *taskFlags) String() string     { return strings.Join(*t, "; ") }
 func (t *taskFlags) Set(s string) error { *t = append(*t, s); return nil }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, errw io.Writer) int {
+	fs := flag.NewFlagSet("inca-sim", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var tasks taskFlags
 	var (
-		accelStr = flag.String("accel", "big", "accelerator config: big or small")
-		policy   = flag.String("policy", "vi", "interrupt policy: none|vi|layer|cpu")
-		duration = flag.Duration("duration", 5*time.Second, "simulated horizon")
-		verbose  = flag.Bool("v", false, "print every preemption record")
-		timeline = flag.Bool("timeline", false, "print the execution timeline (start/preempt/resume/complete)")
-		gantt    = flag.Bool("gantt", false, "render the timeline as a per-slot Gantt chart")
-		traceOut = flag.String("trace", "", "write a Perfetto (Chrome trace_event) JSON trace to this file")
-		traceCap = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
+		accelStr = fs.String("accel", "big", "accelerator config: big or small")
+		policy   = fs.String("policy", "vi", "interrupt policy: none|vi|layer|cpu")
+		duration = fs.Duration("duration", 5*time.Second, "simulated horizon")
+		verbose  = fs.Bool("v", false, "print every preemption record")
+		timeline = fs.Bool("timeline", false, "print every lifecycle mark of the run (start/preempt/resume/complete/...)")
+		gantt    = fs.Bool("gantt", false, "render the timeline as a per-slot Gantt chart")
+		traceOut = fs.String("trace", "", "write a Perfetto (Chrome trace_event) JSON trace to this file")
+		traceCap = fs.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
 
-		predictive = flag.Bool("predictive", false, "use the PREMA-style predictive scheduler (DESIGN.md §15) on top of the interrupt mechanism")
-		predCold   = flag.Bool("predictive-cold", false, "start the predictive estimator cold (static fallback until the first completions train it)")
+		predictive = fs.Bool("predictive", false, "use the PREMA-style predictive scheduler (DESIGN.md §15) on top of the interrupt mechanism")
+		predCold   = fs.Bool("predictive-cold", false, "start the predictive estimator cold (static fallback until the first completions train it)")
 
-		faults      = flag.Bool("faults", false, "arm the deterministic fault injector")
-		faultSeed   = flag.Uint64("fault-seed", 7, "fault injector seed")
-		corruptRate = flag.Float64("corrupt-rate", 0.02, "snapshot/backup bit-flip rate (with -faults)")
-		stallRate   = flag.Float64("stall-rate", 0.02, "per-instruction stall rate (with -faults)")
-		hangRate    = flag.Float64("hang-rate", 1e-5, "per-instruction hang rate (with -faults)")
-		irqLostRate = flag.Float64("irq-lost-rate", 0.01, "lost preemption IRQ rate (with -faults)")
-		watchdog    = flag.Uint64("watchdog", 0, "watchdog bound in cycles (0 = auto-derive, with -faults)")
+		faults      = fs.Bool("faults", false, "arm the deterministic fault injector")
+		faultSeed   = fs.Uint64("fault-seed", 7, "fault injector seed")
+		corruptRate = fs.Float64("corrupt-rate", 0.02, "snapshot/backup bit-flip rate (with -faults)")
+		stallRate   = fs.Float64("stall-rate", 0.02, "per-instruction stall rate (with -faults)")
+		hangRate    = fs.Float64("hang-rate", 1e-5, "per-instruction hang rate (with -faults)")
+		irqLostRate = fs.Float64("irq-lost-rate", 0.01, "lost preemption IRQ rate (with -faults)")
+		watchdog    = fs.Uint64("watchdog", 0, "watchdog bound in cycles (0 = auto-derive, with -faults)")
 	)
-	flag.Var(&tasks, "task", "task spec (repeatable); see doc comment")
-	flag.Parse()
+	fs.Var(&tasks, "task", "task spec (repeatable); see doc comment")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(format string, a ...interface{}) int {
+		fmt.Fprintf(errw, "inca-sim: "+format+"\n", a...)
+		return 1
+	}
 
 	if len(tasks) == 0 {
 		// Default: the paper's DSLAM mix.
@@ -75,35 +92,34 @@ func main() {
 			"name=FE,slot=0,net=superpoint,c=1,h=360,w=480,period=50ms,deadline=50ms,drop=true",
 			"name=PR,slot=1,net=gem,c=3,h=480,w=640,continuous=true",
 		}
-		fmt.Println("no -task flags; running the default DSLAM mix (FE@20fps + continuous PR)")
+		fmt.Fprintln(stdout, "no -task flags; running the default DSLAM mix (FE@20fps + continuous PR)")
 	}
 
 	cfg := accel.Big()
 	if *accelStr == "small" {
 		cfg = accel.Small()
 	} else if *accelStr != "big" {
-		fatalf("unknown -accel %q", *accelStr)
+		return fail("unknown -accel %q", *accelStr)
 	}
 	pol, err := parsePolicy(*policy)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	var specs []sched.TaskSpec
 	for _, ts := range tasks {
 		spec, err := parseTask(ts, cfg, pol, *predictive)
 		if err != nil {
-			fatalf("parsing -task %q: %v", ts, err)
+			return fail("parsing -task %q: %v", ts, err)
 		}
 		specs = append(specs, spec)
 	}
 
+	// -gantt and -timeline read the tracer's marks: one tracer serves them
+	// and -trace alike.
 	var opts []sched.Option
-	if *timeline || *gantt {
-		opts = append(opts, sched.WithTimeline())
-	}
 	var tracer *trace.Tracer
-	if *traceOut != "" {
+	if *traceOut != "" || *timeline || *gantt {
 		tracer = trace.New(*traceCap)
 		opts = append(opts, sched.WithTracer(tracer))
 	}
@@ -119,7 +135,7 @@ func main() {
 			opts = append(opts, sched.WithPredictiveCold())
 		}
 	} else if *predCold {
-		fatalf("-predictive-cold requires -predictive")
+		return fail("-predictive-cold requires -predictive")
 	}
 	if *faults {
 		inj := fault.New(*faultSeed)
@@ -131,49 +147,49 @@ func main() {
 	}
 	res, err := sched.Run(cfg, pol, specs, *duration, opts...)
 	if err != nil {
-		fatalf("run: %v", err)
+		return fail("run: %v", err)
 	}
-	if tracer != nil {
+	if *traceOut != "" {
 		if err := trace.WriteFiles(tracer, *traceOut, "inca-sim "+pol.String()); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-		fmt.Printf("wrote Perfetto trace to %s (%d events, %d dropped) and metrics to %s\n",
+		fmt.Fprintf(stdout, "wrote Perfetto trace to %s (%d events, %d dropped) and metrics to %s\n",
 			*traceOut, tracer.Total(), tracer.Dropped(), trace.MetricsPath(*traceOut))
 	}
 
-	fmt.Printf("policy=%v accel=%s horizon=%v utilization=%.1f%% degradation=%.3f%%\n",
+	fmt.Fprintf(stdout, "policy=%v accel=%s horizon=%v utilization=%.1f%% degradation=%.3f%%\n",
 		pol, cfg.Name, *duration, 100*res.Utilization(), 100*res.Degradation())
 	if pred != nil {
 		decisions, estimates := pred.Counters()
-		fmt.Printf("predictive: %d cost-model decisions, %d estimator updates, mean SLA %.1f%%, Jain fairness %.3f\n",
+		fmt.Fprintf(stdout, "predictive: %d cost-model decisions, %d estimator updates, mean SLA %.1f%%, Jain fairness %.3f\n",
 			decisions, estimates, 100*res.MeanSLAAttainment(), res.JainFairness())
 	}
 	calc, xfer, hidden := res.CycleStats()
 	if tot := calc + xfer; tot > 0 {
-		fmt.Printf("accelerator time: %.0f%% compute, %.0f%% exposed transfers (%.1f ms of DMA hidden under compute)\n\n",
+		fmt.Fprintf(stdout, "accelerator time: %.0f%% compute, %.0f%% exposed transfers (%.1f ms of DMA hidden under compute)\n\n",
 			100*float64(calc)/float64(tot), 100*float64(xfer)/float64(tot), cfg.CyclesToMicros(hidden)/1000)
 	} else {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("%-10s %5s %5s %5s %6s %12s %12s %9s\n",
+	fmt.Fprintf(stdout, "%-10s %5s %5s %5s %6s %12s %12s %9s\n",
 		"task", "done", "drop", "miss", "preempt", "mean(ms)", "max(ms)", "busy(ms)")
 	for _, spec := range specs {
 		st := res.Tasks[spec.Name]
-		fmt.Printf("%-10s %5d %5d %5d %6d %12.2f %12.2f %9.1f\n",
+		fmt.Fprintf(stdout, "%-10s %5d %5d %5d %6d %12.2f %12.2f %9.1f\n",
 			st.Name, st.Completed, st.Dropped, st.DeadlineMisses, st.Preempted,
 			cfg.CyclesToMicros(uint64(st.MeanLatency()))/1000,
 			cfg.CyclesToMicros(st.MaxLatency())/1000,
 			cfg.CyclesToMicros(st.ExecCycles)/1000)
 	}
 	if res.Faults != nil {
-		fmt.Printf("\n%s\n", res.Faults)
-		fmt.Printf("%-10s %7s %9s %9s %5s\n", "task", "retried", "corrupted", "recovered", "shed")
+		fmt.Fprintf(stdout, "\n%s\n", res.Faults)
+		fmt.Fprintf(stdout, "%-10s %7s %9s %9s %5s\n", "task", "retried", "corrupted", "recovered", "shed")
 		for _, spec := range specs {
 			st := res.Tasks[spec.Name]
-			fmt.Printf("%-10s %7d %9d %9d %5d\n", st.Name, st.Retried, st.Corrupted, st.Recovered, st.Shed)
+			fmt.Fprintf(stdout, "%-10s %7d %9d %9d %5d\n", st.Name, st.Retried, st.Corrupted, st.Recovered, st.Shed)
 		}
 	}
-	fmt.Printf("\n%d preemptions", len(res.Preemptions))
+	fmt.Fprintf(stdout, "\n%d preemptions", len(res.Preemptions))
 	if len(res.Preemptions) > 0 {
 		var lat, cost uint64
 		for _, p := range res.Preemptions {
@@ -181,29 +197,36 @@ func main() {
 			cost += p.Cost()
 		}
 		n := uint64(len(res.Preemptions))
-		fmt.Printf(": mean response latency %.1f us, mean extra cost %.1f us",
+		fmt.Fprintf(stdout, ": mean response latency %.1f us, mean extra cost %.1f us",
 			cfg.CyclesToMicros(lat/n), cfg.CyclesToMicros(cost/n))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if *verbose {
 		for i, p := range res.Preemptions {
-			fmt.Printf("  #%d t=%.3fms slot%d->slot%d layer=%s latency=%.1fus cost=%.1fus backup=%dB\n",
+			fmt.Fprintf(stdout, "  #%d t=%.3fms slot%d->slot%d layer=%s latency=%.1fus cost=%.1fus backup=%dB\n",
 				i, cfg.CyclesToMicros(p.RequestCycle)/1000, p.Preemptor, p.Victim, p.VictimLayer,
 				cfg.CyclesToMicros(p.Latency()), cfg.CyclesToMicros(p.Cost()), p.BackupBytes)
 		}
 	}
+	if tracer == nil {
+		return 0
+	}
+	events := tracer.Events()
 	if *gantt {
-		fmt.Println("\ntimeline (each column ≈ " +
-			fmt.Sprintf("%.1f ms", float64(duration.Milliseconds())/72) + "):")
-		fmt.Print(sched.Gantt(cfg, res.Timeline, cfg.SecondsToCycles(duration.Seconds()), 72))
+		fmt.Fprintln(stdout, "\ntimeline (each column ≈ "+
+			fmt.Sprintf("%.1f ms", float64(duration.Milliseconds())/72)+"):")
+		fmt.Fprint(stdout, sched.Gantt(cfg, events, cfg.SecondsToCycles(duration.Seconds()), 72))
 	}
 	if *timeline {
-		fmt.Println("\ntimeline:")
-		for _, e := range res.Timeline {
-			fmt.Printf("  t=%10.3fms %-8s slot%d %s\n",
-				cfg.CyclesToMicros(e.Cycle)/1000, e.Kind, e.Slot, e.Label)
+		fmt.Fprintln(stdout, "\ntimeline:")
+		for _, e := range events {
+			if !e.Kind.IsSpan() {
+				fmt.Fprintf(stdout, "  t=%10.3fms %-8s slot%d %s\n",
+					cfg.CyclesToMicros(e.Cycle)/1000, e.Kind, e.Slot, e.Label)
+			}
 		}
 	}
+	return 0
 }
 
 func parsePolicy(s string) (iau.Policy, error) {
@@ -326,9 +349,4 @@ func parseTask(s string, cfg accel.Config, pol iau.Policy, predictive bool) (sch
 		return spec, fmt.Errorf("need net= or prog=")
 	}
 	return spec, nil
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "inca-sim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -384,7 +384,6 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		e := &engine{id: i, u: iau.New(cfg.Accel, cfg.Policy)}
 		e.stats.ID = i
 		e.u.WatchdogCycles = watchdog
-		e.u.SalvageCheckpoints = true
 		if cfg.Predictive {
 			e.pred = sched.NewPredictive(cfg.Accel, sched.WithMethods(iau.PolicyVI))
 			e.u.Sched = e.pred

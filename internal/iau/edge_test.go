@@ -1,6 +1,7 @@
 package iau_test
 
 import (
+	"reflect"
 	"testing"
 
 	"inca/internal/accel"
@@ -9,6 +10,7 @@ import (
 	"inca/internal/isa"
 	"inca/internal/model"
 	"inca/internal/quant"
+	"inca/internal/trace"
 )
 
 func timingProg(t testing.TB, g *model.Network, cfg accel.Config, vi bool) *isa.Program {
@@ -126,7 +128,8 @@ func TestHorizonStopAndResume(t *testing.T) {
 func TestNestedPreemption(t *testing.T) {
 	cfg := accel.Big()
 	u := iau.New(cfg, iau.PolicyVI)
-	u.EnableTrace = true
+	tr := trace.New(0)
+	u.AttachTracer(tr)
 	big := timingProg(t, model.NewVGG16(3, 120, 160), cfg, true)
 	mid := timingProg(t, model.NewVGG16(3, 60, 80), cfg, true)
 	small := timingProg(t, model.NewTinyCNN(3, 16, 16), cfg, true)
@@ -159,30 +162,29 @@ func TestNestedPreemption(t *testing.T) {
 			t.Fatalf("completion %d = %q, want %q", i, c.Req.Label, want[i])
 		}
 	}
-	// Trace must interleave starts/preempts/resumes consistently.
-	var kinds []iau.TraceKind
-	for _, e := range u.Trace {
-		kinds = append(kinds, e.Kind)
-	}
-	wantKinds := []iau.TraceKind{
-		iau.TraceStart,    // big
-		iau.TracePreempt,  // big by mid
-		iau.TraceStart,    // mid
-		iau.TracePreempt,  // mid by small
-		iau.TraceStart,    // small
-		iau.TraceComplete, // small
-		iau.TraceResume,   // mid
-		iau.TraceComplete, // mid
-		iau.TraceResume,   // big
-		iau.TraceComplete, // big
-	}
-	if len(kinds) != len(wantKinds) {
-		t.Fatalf("trace has %d events, want %d: %v", len(kinds), len(wantKinds), u.Trace)
-	}
-	for i := range kinds {
-		if kinds[i] != wantKinds[i] {
-			t.Fatalf("trace event %d = %v, want %v (%v)", i, kinds[i], wantKinds[i], u.Trace)
+	// The tracer's lifecycle marks must interleave starts/preempts/resumes
+	// consistently.
+	var kinds []trace.Kind
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case trace.KindStart, trace.KindPreempt, trace.KindResume, trace.KindComplete:
+			kinds = append(kinds, e.Kind)
 		}
+	}
+	wantKinds := []trace.Kind{
+		trace.KindStart,    // big
+		trace.KindPreempt,  // big by mid
+		trace.KindStart,    // mid
+		trace.KindPreempt,  // mid by small
+		trace.KindStart,    // small
+		trace.KindComplete, // small
+		trace.KindResume,   // mid
+		trace.KindComplete, // mid
+		trace.KindResume,   // big
+		trace.KindComplete, // big
+	}
+	if !reflect.DeepEqual(kinds, wantKinds) {
+		t.Fatalf("lifecycle marks %v, want %v", kinds, wantKinds)
 	}
 }
 

@@ -151,6 +151,8 @@ func TestWatchdogKillsHang(t *testing.T) {
 	u.Faults = fault.New(4)
 	u.Faults.SetRate(fault.SiteHang, 1.0)
 	u.WatchdogCycles = iau.WatchdogBound(cfg, p)
+	tr := trace.New(0)
+	u.AttachTracer(tr)
 
 	var failed []iau.Completion
 	u.OnFail = func(c iau.Completion, err error) {
@@ -169,8 +171,14 @@ func TestWatchdogKillsHang(t *testing.T) {
 	if !req.Failed || len(failed) != 1 {
 		t.Fatalf("hang not killed (failed=%v, callbacks=%d)", req.Failed, len(failed))
 	}
-	if u.Fault.WatchdogKills != 1 || len(u.Resets) != 1 {
-		t.Fatalf("kills=%d resets=%d, want 1/1", u.Fault.WatchdogKills, len(u.Resets))
+	var kills []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindKill {
+			kills = append(kills, e)
+		}
+	}
+	if u.Fault.WatchdogKills != 1 || len(kills) != 1 || kills[0].Cycle != req.DoneCycle || kills[0].Label != "hung" {
+		t.Fatalf("kills=%d kill marks=%+v, want one for %q at cycle %d", u.Fault.WatchdogKills, kills, "hung", req.DoneCycle)
 	}
 
 	// Heal the fault and resubmit: the reset slot must run it to completion.

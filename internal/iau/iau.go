@@ -107,12 +107,12 @@ type Completion struct {
 	Slot int
 	Req  *Request
 
-	// Salvage is set only on OnFail deliveries, and only when
-	// SalvageCheckpoints is armed and the killed request had a committed
-	// checkpoint (its last materialised Vir_SAVE, or its last layer
-	// boundary under layer-by-layer). It is a restorable token: a
-	// dispatcher may ResumeSalvaged it on a healthy IAU and the request
-	// resumes from the checkpoint instead of re-executing from scratch.
+	// Salvage is set only on OnFail deliveries, and only when the killed
+	// request had a committed checkpoint (its last materialised Vir_SAVE,
+	// or its last layer boundary under layer-by-layer; see WatchdogCycles).
+	// It is a restorable token: a dispatcher may ResumeSalvaged it on a
+	// healthy IAU and the request resumes from the checkpoint instead of
+	// re-executing from scratch.
 	// The destination re-verifies the backup CRC at dispatch, so a
 	// checkpoint whose arena span was dirtied after it was taken degrades
 	// to the normal detected-restart path.
@@ -136,57 +136,6 @@ type Preemption struct {
 	Resumed         bool
 	VictimPC        int    // victim stream position at the switch
 	VictimLayer     string // victim layer executing when the request landed
-}
-
-// TraceKind classifies a timeline event.
-type TraceKind int
-
-// Trace event kinds.
-const (
-	TraceStart TraceKind = iota
-	TracePreempt
-	TraceResume
-	TraceComplete
-	TraceDrop
-	// TraceRestart marks a corrupt-backup detection: the victim's parked
-	// state failed its checksum and the request re-executes from the start.
-	TraceRestart
-	// TraceKill marks a watchdog kill of a hung slot.
-	TraceKill
-)
-
-func (k TraceKind) String() string {
-	switch k {
-	case TraceStart:
-		return "start"
-	case TracePreempt:
-		return "preempt"
-	case TraceResume:
-		return "resume"
-	case TraceComplete:
-		return "complete"
-	case TraceDrop:
-		return "drop"
-	case TraceRestart:
-		return "restart"
-	case TraceKill:
-		return "kill"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
-	}
-}
-
-// TraceEvent is one entry of the execution timeline (EnableTrace).
-type TraceEvent struct {
-	Cycle uint64
-	Kind  TraceKind
-	Slot  int
-	Label string
-	PC    int
-}
-
-func (e TraceEvent) String() string {
-	return fmt.Sprintf("@%-12d %-8s slot%d %-18s pc=%d", e.Cycle, e.Kind, e.Slot, e.Label, e.PC)
 }
 
 // Latency returns the interrupt response latency (t1+t2) in cycles.
@@ -232,7 +181,7 @@ type task struct {
 	bkLo, bkHi    int    // arena span the VI backup covers (CRC window)
 	backupCorrupt bool   // metadata corruption for timing-only backups
 
-	// Salvage checkpoint (armed only when IAU.SalvageCheckpoints is set):
+	// Salvage checkpoint (armed only when IAU.WatchdogCycles is set):
 	// the last committed resume point — the restore-group leader PC plus
 	// the SAVE-rewrite and integrity registers as of that boundary. A
 	// later watchdog kill republishes it as Completion.Salvage.
@@ -270,15 +219,6 @@ func (h *arrivalHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// SlotReset records one watchdog kill: the slot's request exceeded the
-// per-instruction cycle bound and the IAU reset the slot to recover.
-type SlotReset struct {
-	Cycle uint64
-	Slot  int
-	Label string
-	PC    int
 }
 
 // FaultStats aggregates the IAU's fault detection and recovery activity.
@@ -337,13 +277,6 @@ type IAU struct {
 	// sites (backup bit-flips, instruction stalls/hangs, lost IRQs). Nil —
 	// the default — keeps every hot path a single pointer comparison.
 	Faults *fault.Injector
-	// SalvageCheckpoints, when set, records each slot's last committed
-	// preemption boundary (VI: the Vir_SAVE just materialised; LBL: the
-	// layer boundary) so a watchdog kill can salvage the victim's progress
-	// as a restorable Completion.Salvage token instead of forcing
-	// re-execution from scratch. CPU-like backups are released at resume,
-	// so that policy never salvages. Off by default (zero cost).
-	SalvageCheckpoints bool
 	// Sched, when non-nil, replaces the static slot-priority rule with an
 	// external policy for dispatch and preemption decisions (see Scheduler).
 	// Nil — the default — preserves the paper's static behavior exactly.
@@ -353,6 +286,13 @@ type IAU struct {
 	// runaway transfer) the IAU charges the bound, kills the slot's request,
 	// resets the slot, and reports the corpse through OnFail. Zero disables
 	// the watchdog: a hung instruction is then a fatal simulation error.
+	//
+	// An armed watchdog also records each slot's last committed preemption
+	// boundary (VI: the Vir_SAVE just materialised; LBL: the layer
+	// boundary), so a kill can salvage the victim's progress as a
+	// restorable Completion.Salvage token instead of forcing re-execution
+	// from scratch. CPU-like backups are released at resume, so that policy
+	// never salvages.
 	WatchdogCycles uint64
 
 	// OnComplete, when set, is invoked after every completion; it may submit
@@ -371,19 +311,13 @@ type IAU struct {
 
 	Completions []Completion
 	Preemptions []*Preemption
-	Resets      []SlotReset
 	Fault       FaultStats
-
-	// EnableTrace records a timeline of start/preempt/resume/complete/drop
-	// events in Trace.
-	EnableTrace bool
-	Trace       []TraceEvent
 
 	// Tracer, when non-nil, receives the cycle-accurate event stream (spans
 	// for every instruction class, marks for every scheduling action) that
-	// feeds the Perfetto timeline and metrics snapshot. Attach it with
-	// AttachTracer so the engine shares it. Nil — the default — costs one
-	// pointer comparison per site.
+	// feeds the Perfetto timeline, the metrics snapshot and sched.Gantt: the
+	// IAU's only timeline. Attach it with AttachTracer so the engine shares
+	// it. Nil — the default — costs one pointer comparison per site.
 	Tracer *trace.Tracer
 
 	BusyCycles uint64 // cycles the accelerator executed instructions
@@ -465,7 +399,6 @@ func (u *IAU) admit() {
 		a := heap.Pop(&u.arrivals).(arrival)
 		t := u.slots[a.slot]
 		if a.req.DropIfBusy && (t.cur != nil || len(t.queue) > 0) {
-			u.trace(TraceDrop, a.slot, a.req.Label, 0)
 			u.Tracer.Mark(trace.KindDrop, a.slot, a.cycle, 0, a.req.Label)
 			if u.OnDrop != nil {
 				u.OnDrop(a.slot, a.req)
@@ -702,7 +635,6 @@ func (u *IAU) dispatch(slot int) error {
 		t.saveValid = false
 		t.ckptValid = false
 		u.Eng.Invalidate()
-		u.trace(TraceStart, slot, t.cur.Label, 0)
 		u.Tracer.Mark(trace.KindStart, slot, u.Now, 0, t.cur.Label)
 	case Preempted:
 		if u.restoreCorrupt(t) {
@@ -716,7 +648,6 @@ func (u *IAU) dispatch(slot int) error {
 			t.cur.Corrupted++
 			t.cur.Restarts++
 			u.restartVictim(t)
-			u.trace(TraceRestart, slot, t.cur.Label, 0)
 			u.Tracer.Mark(trace.KindRestart, slot, u.Now, 0, t.cur.Label)
 		} else {
 			// The resume mark lands before the restore transfers, so the
@@ -726,7 +657,6 @@ func (u *IAU) dispatch(slot int) error {
 			if err := u.resume(t); err != nil {
 				return err
 			}
-			u.trace(TraceResume, slot, t.cur.Label, t.pc)
 		}
 	default:
 		return fmt.Errorf("iau: dispatch of slot %d in state %d", slot, t.state)
@@ -882,7 +812,7 @@ func (u *IAU) preempt(victim, preemptor int, method Policy) error {
 			vt.saveValid = true
 			vt.saveID = in.SaveID
 			vt.saveBytes = in.Len
-			if u.Faults != nil || u.SalvageCheckpoints {
+			if u.Faults != nil || u.WatchdogCycles > 0 {
 				u.armBackupCheck(vt, in)
 			}
 			vt.pc++ // resume at the following Vir_LOAD_D restores
@@ -893,7 +823,7 @@ func (u *IAU) preempt(victim, preemptor int, method Policy) error {
 		return fmt.Errorf("iau: policy %v cannot preempt", method)
 	}
 	vt.parked = method
-	if u.SalvageCheckpoints && (method == PolicyVI || method == PolicyLayerByLayer) {
+	if u.WatchdogCycles > 0 && (method == PolicyVI || method == PolicyLayerByLayer) {
 		// Commit the boundary just reached as the slot's salvage
 		// checkpoint. The CRC registers were (re)armed pre-fault-draw, so a
 		// backup bit-flip injected after the checksum is still detected if
@@ -909,7 +839,6 @@ func (u *IAU) preempt(victim, preemptor int, method Policy) error {
 	vt.state = Preempted
 	vt.cur.Preemptions++
 	vt.lastPre = rec
-	u.trace(TracePreempt, victim, vt.cur.Label, vt.pc)
 	// Arg carries the backup bytes; the preempted-wait window opens here
 	// (backup done) and closes at the matching resume mark.
 	u.Tracer.Mark(trace.KindPreempt, victim, u.Now, rec.BackupBytes, vt.cur.Label)
@@ -1123,7 +1052,7 @@ func (u *IAU) InjectPreempted(slot int, tok *ResumeToken) error {
 	t.backupCRC = tok.backupCRC
 	t.bkLo, t.bkHi = tok.bkLo, tok.bkHi
 	t.backupCorrupt = tok.backupCorrupt
-	if u.SalvageCheckpoints && (tok.Policy == PolicyVI || tok.Policy == PolicyLayerByLayer) {
+	if u.WatchdogCycles > 0 && (tok.Policy == PolicyVI || tok.Policy == PolicyLayerByLayer) {
 		// The token is itself a committed checkpoint: re-arm it locally so
 		// a post-migration watchdog kill can still salvage the request.
 		t.ckptValid = true
@@ -1270,11 +1199,9 @@ func (u *IAU) watchdogKill(t *task) error {
 	req.Failed = true
 	req.DoneCycle = u.Now
 	u.Fault.WatchdogKills++
-	u.Resets = append(u.Resets, SlotReset{Cycle: u.Now, Slot: t.slot, Label: req.Label, PC: t.pc})
-	u.trace(TraceKill, t.slot, req.Label, t.pc)
 	u.Tracer.Mark(trace.KindKill, t.slot, u.Now, uint64(t.pc), req.Label)
 	var salvage *ResumeToken
-	if u.SalvageCheckpoints && t.ckptValid {
+	if t.ckptValid {
 		salvage = &ResumeToken{
 			Req: req, Policy: t.ckptPolicy,
 			pc: t.ckptPC, saveValid: t.ckptSaveValid, saveID: t.ckptSaveID, saveBytes: t.ckptSaveBytes,
@@ -1395,16 +1322,8 @@ func (u *IAU) advance(req *Request, cycles uint64) {
 	req.ExecCycles += cycles
 }
 
-func (u *IAU) trace(kind TraceKind, slot int, label string, pc int) {
-	if !u.EnableTrace {
-		return
-	}
-	u.Trace = append(u.Trace, TraceEvent{Cycle: u.Now, Kind: kind, Slot: slot, Label: label, PC: pc})
-}
-
 func (u *IAU) complete(t *task) {
 	t.cur.DoneCycle = u.Now
-	u.trace(TraceComplete, t.slot, t.cur.Label, t.pc)
 	u.Tracer.Mark(trace.KindComplete, t.slot, u.Now, u.Now-t.cur.SubmitCycle, t.cur.Label)
 	comp := Completion{Slot: t.slot, Req: t.cur}
 	u.Completions = append(u.Completions, comp)

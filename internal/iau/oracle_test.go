@@ -110,14 +110,12 @@ type observed struct {
 	Now, Busy, Idle  uint64
 	Completions      []string
 	Preemptions      []iau.Preemption
-	Resets           []iau.SlotReset
 	Requests         []iau.Request // Prog and Arena cleared; every counter kept
 	Arenas           []uint32      // CRC of each request's arena after the run
 	Fault            iau.FaultStats
 	FaultReport      string
 	Calc, Xfer, Hide uint64
 	SnapLive         int
-	Timeline         []iau.TraceEvent
 	TraceBytes       string
 	Callbacks        []string
 	SchedCalls       []schedCall
@@ -214,7 +212,6 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) (*observed, int
 		cfg = *sc.cfg
 	}
 	u := iau.New(cfg, sc.policy)
-	u.EnableTrace = true
 
 	var tr *trace.Tracer
 	if sc.tracer {
@@ -239,7 +236,6 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) (*observed, int
 			SetRate(fault.SiteStall, 0.02).SetRate(fault.SiteHang, 0.004).
 			SetRate(fault.SiteIRQLost, 0.3).SetRate(fault.SiteBackup, 0.3)
 		u.WatchdogCycles = iau.WatchdogBound(cfg, s.victim, s.urgent, s.lower)
-		u.SalvageCheckpoints = true
 	}
 
 	var reqs []*iau.Request
@@ -314,7 +310,6 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) (*observed, int
 	for _, p := range u.Preemptions {
 		obs.Preemptions = append(obs.Preemptions, *p)
 	}
-	obs.Resets = u.Resets
 	for _, r := range reqs {
 		c := *r
 		c.Prog, c.Arena = nil, nil
@@ -327,7 +322,6 @@ func (s *oracleSet) play(t *testing.T, sc scenario, run runFunc) (*observed, int
 	}
 	obs.Calc, obs.Xfer, obs.Hide = u.Eng.CycleStats()
 	obs.SnapLive, _ = u.Eng.SnapshotBalance()
-	obs.Timeline = u.Trace
 	if tr != nil {
 		var buf bytes.Buffer
 		if err := tr.WritePerfettoNamed(&buf, "inca accelerator"); err != nil {

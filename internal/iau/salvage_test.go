@@ -70,7 +70,6 @@ func stageKill(t *testing.T) (*Request, []byte, *tensor.Int8, *ResumeToken, acce
 
 	u := New(cfg, PolicyVI)
 	defer u.Eng.Close()
-	u.SalvageCheckpoints = true
 	u.WatchdogCycles = WatchdogBound(cfg, vp, pp)
 	u.Faults = fault.New(21) // armed with zero rates until the kill is staged
 
@@ -124,7 +123,7 @@ func TestWatchdogSalvageResumesBitExact(t *testing.T) {
 
 	b := New(cfg, PolicyVI)
 	defer b.Eng.Close()
-	b.SalvageCheckpoints = true
+	b.WatchdogCycles = WatchdogBound(cfg, vr.Prog) // a cluster engine always arms one
 	if err := b.ResumeSalvaged(2, salvage); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestWatchdogSalvageCorruptCheckpointRestarts(t *testing.T) {
 
 	b := New(cfg, PolicyVI)
 	defer b.Eng.Close()
-	b.SalvageCheckpoints = true
+	b.WatchdogCycles = WatchdogBound(cfg, vr.Prog) // a cluster engine always arms one
 	if err := b.ResumeSalvaged(2, salvage); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,6 @@ func TestWatchdogKillWithoutCheckpointHasNoSalvage(t *testing.T) {
 
 	u := New(cfg, PolicyVI)
 	defer u.Eng.Close()
-	u.SalvageCheckpoints = true
 	u.WatchdogCycles = WatchdogBound(cfg, p)
 	u.Faults = fault.New(3)
 	u.Faults.SetRate(fault.SiteHang, 1.0)

@@ -10,6 +10,7 @@ import (
 	"inca/internal/iau"
 	"inca/internal/model"
 	"inca/internal/sched"
+	"inca/internal/trace"
 )
 
 // TestSpecValidation: malformed task specs are rejected up front with a
@@ -60,7 +61,7 @@ func TestRetryAndShed(t *testing.T) {
 	// VGG16 runs ~8k instructions per inference: 2e-5/instruction hangs
 	// roughly one attempt in six without starving the retry path.
 	inj.SetRate(fault.SiteHang, 2e-5)
-	res, err := sched.Run(cfg, iau.PolicyVI, specs, 100*time.Millisecond, sched.WithFaults(inj))
+	res, err := sched.Run(cfg, iau.PolicyVI, specs, 100*time.Millisecond, sched.WithFaults(inj), sched.WithTracer(trace.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,8 @@ func TestRetryAndShed(t *testing.T) {
 		t.Errorf("report retries/shed %d/%d != task %d/%d",
 			res.Faults.Retries, res.Faults.Shed, st.Retried, st.Shed)
 	}
-	if len(res.Faults.Resets) != res.Faults.WatchdogKills {
-		t.Errorf("%d slot resets for %d kills", len(res.Faults.Resets), res.Faults.WatchdogKills)
+	if marks := int(res.Tracer.Metrics().Task(1).Kills); marks != res.Faults.WatchdogKills {
+		t.Errorf("%d kill marks for %d kills", marks, res.Faults.WatchdogKills)
 	}
 	if st.Completed == 0 {
 		t.Error("continuous task starved: nothing completed under retry")

@@ -6,16 +6,19 @@ import (
 
 	"inca/internal/accel"
 	"inca/internal/iau"
+	"inca/internal/trace"
 )
 
 // Gantt renders an execution timeline as text: one row per priority slot,
 // one column per time bin, '#' where the slot's task held the accelerator.
-// Built from the IAU timeline (Run with WithTimeline), it makes the paper's Fig. 2(a)
-// scheduling diagram reproducible for any workload:
+// Built from a tracer's marks (Run with WithTracer, then Tracer.Events): a
+// slot holds the accelerator from each start, resume or restart to the next
+// preempt, complete or kill. It makes the paper's Fig. 2(a) scheduling
+// diagram reproducible for any workload:
 //
 //	slot0 |      ####      ####      ####     | FE
 //	slot1 |######    ######    ######    #####| PR
-func Gantt(cfg accel.Config, events []iau.TraceEvent, horizon uint64, cols int) string {
+func Gantt(cfg accel.Config, events []trace.Event, horizon uint64, cols int) string {
 	if cols <= 0 {
 		cols = 72
 	}
@@ -30,17 +33,18 @@ func Gantt(cfg accel.Config, events []iau.TraceEvent, horizon uint64, cols int) 
 	names := map[int]string{}
 	active := map[int]bool{}
 	for _, e := range events {
+		s := int(e.Slot)
 		switch e.Kind {
-		case iau.TraceStart, iau.TraceResume:
-			open[e.Slot] = e.Cycle
-			active[e.Slot] = true
-			if _, ok := names[e.Slot]; !ok {
-				names[e.Slot] = strings.SplitN(e.Label, "#", 2)[0]
+		case trace.KindStart, trace.KindResume, trace.KindRestart:
+			open[s] = e.Cycle
+			active[s] = true
+			if _, ok := names[s]; !ok {
+				names[s] = strings.SplitN(e.Label, "#", 2)[0]
 			}
-		case iau.TracePreempt, iau.TraceComplete:
-			if active[e.Slot] {
-				busy[e.Slot] = append(busy[e.Slot], interval{open[e.Slot], e.Cycle})
-				active[e.Slot] = false
+		case trace.KindPreempt, trace.KindComplete, trace.KindKill:
+			if active[s] {
+				busy[s] = append(busy[s], interval{open[s], e.Cycle})
+				active[s] = false
 			}
 		}
 	}

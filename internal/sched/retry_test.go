@@ -9,6 +9,7 @@ import (
 	"inca/internal/iau"
 	"inca/internal/model"
 	"inca/internal/sched"
+	"inca/internal/trace"
 )
 
 // TestShedAfterRetriesExhausted pins the exact accounting when every attempt
@@ -65,11 +66,16 @@ func TestRetryBackoffOrdering(t *testing.T) {
 		Name: "T", Slot: 1, Prog: p,
 		MaxRetries: 3, RetryBackoff: backoff,
 	}}
-	res, err := sched.Run(cfg, iau.PolicyVI, specs, 100*time.Millisecond, sched.WithFaults(inj))
+	res, err := sched.Run(cfg, iau.PolicyVI, specs, 100*time.Millisecond, sched.WithFaults(inj), sched.WithTracer(trace.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills := res.Faults.Resets
+	var kills []trace.Event
+	for _, e := range res.Tracer.Events() {
+		if e.Kind == trace.KindKill {
+			kills = append(kills, e)
+		}
+	}
 	if len(kills) != 4 {
 		t.Fatalf("%d watchdog kills, want 4 (initial + 3 retries)", len(kills))
 	}

@@ -218,13 +218,13 @@ type Result struct {
 	// map (the determinism lint forbids any map range in this package).
 	TaskNames   []string
 	Preemptions []*iau.Preemption
-	Timeline    []iau.TraceEvent // populated by WithTimeline
 	BusyCycles  uint64
 	IdleCycles  uint64
 
 	// Tracer is the cycle-accurate tracer the run emitted into (nil unless
 	// WithTracer was passed). Flush it with trace.WriteFiles (or
-	// Tracer.WritePerfettoNamed and Tracer.Metrics) after the run.
+	// Tracer.WritePerfettoNamed and Tracer.Metrics) after the run, or draw
+	// its marks with Gantt.
 	Tracer *trace.Tracer
 
 	// Cycle accounting by class from the accelerator engine.
@@ -252,7 +252,6 @@ type FaultReport struct {
 	StallCycles       uint64
 	Retries           int
 	Shed              int // iterations permanently abandoned
-	Resets            []iau.SlotReset
 }
 
 func (f *FaultReport) String() string {
@@ -263,8 +262,6 @@ func (f *FaultReport) String() string {
 // Options tunes a scheduling run beyond the base (cfg, policy, specs,
 // horizon) tuple. Construct it through Run's functional options.
 type Options struct {
-	// Trace records the IAU timeline into Result.Timeline.
-	Trace bool
 	// Tracer, when non-nil, receives the cycle-accurate event stream
 	// (Perfetto timeline + metrics snapshot) from the IAU, the engine, and
 	// the scheduler itself.
@@ -286,10 +283,6 @@ type Options struct {
 
 // Option configures one aspect of a scheduling run.
 type Option func(*Options)
-
-// WithTimeline records the IAU start/preempt/resume/complete timeline into
-// Result.Timeline (feeds the Gantt renderer).
-func WithTimeline() Option { return func(o *Options) { o.Trace = true } }
 
 // WithTracer attaches a cycle-accurate tracer to the run: instruction spans
 // and scheduling marks from every layer land in tr, and Result.Tracer
@@ -392,7 +385,7 @@ func (s *TaskStats) addGap(g uint64) { s.gaps = append(s.gaps, g) }
 
 // Run executes the task set under the policy for the given horizon of
 // simulated time. Behaviour beyond the base tuple is selected with
-// functional options: WithTimeline, WithTracer, WithFaults, WithWatchdog.
+// functional options: WithTracer, WithFaults, WithWatchdog, WithPredictive.
 func Run(cfg accel.Config, policy iau.Policy, specs []TaskSpec, horizon time.Duration, opts ...Option) (*Result, error) {
 	var opt Options
 	for _, fn := range opts {
@@ -407,7 +400,6 @@ func run(cfg accel.Config, policy iau.Policy, specs []TaskSpec, horizon time.Dur
 	}
 	horizonCycles := cfg.SecondsToCycles(horizon.Seconds())
 	u := iau.New(cfg, policy)
-	u.EnableTrace = opt.Trace
 	u.Faults = opt.Faults
 	u.WatchdogCycles = opt.WatchdogCycles
 	if opt.Tracer != nil {
@@ -595,7 +587,6 @@ func run(cfg accel.Config, policy iau.Policy, specs []TaskSpec, horizon time.Dur
 		return nil, err
 	}
 	res.Preemptions = u.Preemptions
-	res.Timeline = u.Trace
 	res.BusyCycles = u.BusyCycles
 	res.IdleCycles = u.IdleCycles
 	res.CalcCycles, res.XferCycles, res.HiddenCycles = u.Eng.CycleStats()
@@ -614,7 +605,6 @@ func run(cfg accel.Config, policy iau.Policy, specs []TaskSpec, horizon time.Dur
 			LostIRQs:          u.Fault.LostIRQs,
 			Stalls:            u.Fault.Stalls,
 			StallCycles:       u.Fault.StallCycles,
-			Resets:            u.Resets,
 		}
 		for _, sp := range specs {
 			st := res.Tasks[sp.Name]

@@ -179,8 +179,8 @@ type Metrics struct {
 	// HiddenCycles is DMA time the prefetch pipeline hid under compute.
 	HiddenCycles uint64 `json:"hidden_cycles"`
 	// TotalEvents / DroppedEvents report ring pressure: Dropped > 0 means
-	// the Perfetto timeline is a suffix of the run, while these aggregates
-	// remain complete.
+	// the Perfetto timeline lost its oldest spans (or marks), while these
+	// aggregates remain complete.
 	TotalEvents   uint64 `json:"total_events"`
 	DroppedEvents uint64 `json:"dropped_events"`
 }
@@ -193,8 +193,8 @@ func (t *Tracer) Metrics() *Metrics {
 		return m
 	}
 	m.HiddenCycles = t.hidden
-	m.TotalEvents = t.total
-	m.DroppedEvents = t.dropped
+	m.TotalEvents = t.Total()
+	m.DroppedEvents = t.Dropped()
 	for i := range t.slots {
 		tm := t.slots[i]
 		if tm == (TaskMetrics{Slot: tm.Slot, Label: tm.Label}) {

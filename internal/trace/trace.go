@@ -13,11 +13,13 @@
 //     appended in simulation order, and both serialisers write
 //     field-ordered JSON — the same seed produces byte-identical output,
 //     which is what lets the verification harness assert over traces.
-//   - Bounded. Events land in a fixed-capacity ring: when it wraps, the
-//     oldest events are overwritten (flight-recorder semantics) and
-//     Dropped() counts the loss — never silent. The aggregated metrics are
-//     updated at emit time, so counters and cycle sums stay exact even
-//     after the ring has wrapped.
+//   - Bounded. Spans and marks land in two fixed-capacity rings: when one
+//     wraps, its oldest events are overwritten (flight-recorder semantics)
+//     and Dropped() counts the loss — never silent. Marks are O(requests)
+//     and spans O(instructions), so the instruction stream never evicts
+//     the scheduling story. The aggregated metrics are updated at emit
+//     time, so counters and cycle sums stay exact even after a ring has
+//     wrapped.
 //
 // The package is a leaf: it imports nothing from the rest of the
 // repository, so every layer (accel, iau, sched, core, slam) can emit.
@@ -178,6 +180,44 @@ type Event struct {
 // full small-scale run, small enough (~3 MB) to leave on by default.
 const DefaultCapacity = 1 << 16
 
+// ring is a flight recorder: it appends up to limit entries, then
+// overwrites the oldest one and counts the loss.
+type ring[T any] struct {
+	buf     []T
+	limit   int
+	next    int    // slot the next entry lands in once full
+	dropped uint64 // entries overwritten
+}
+
+func (r *ring[T]) push(e T) {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, e)
+		return
+	}
+	r.buf[r.next] = e
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
+	}
+	r.dropped++
+}
+
+// emitted is how many entries were ever pushed.
+func (r *ring[T]) emitted() uint64 { return uint64(len(r.buf)) + r.dropped }
+
+// ordered returns the surviving entries oldest first.
+func (r *ring[T]) ordered() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// mark is a mark-ring slot: the event plus how many spans were emitted
+// before it, which places it in the merged emission order.
+type mark struct {
+	Event
+	spansBefore uint64
+}
+
 // Tracer is the recorder. All emit methods are safe on a nil receiver, so
 // a disabled site costs one pointer comparison.
 //
@@ -188,23 +228,26 @@ const DefaultCapacity = 1 << 16
 type Tracer struct {
 	Now uint64
 
-	ring    []Event
-	next    int    // ring slot the next event lands in
-	filled  bool   // ring has wrapped at least once
-	dropped uint64 // events overwritten after wrap
+	// Spans and marks keep separate rings of the same capacity. The span
+	// ring is allocated up front; the mark ring grows by append.
+	spans ring[Event]
+	marks ring[mark]
 
 	slots     []TaskMetrics
 	preemptAt []uint64 // per-slot cycle of the last un-resumed preemption
 	hidden    uint64   // global DMA-hidden cycles
-	total     uint64   // events ever emitted
 }
 
-// New creates a tracer with the given ring capacity (0 = DefaultCapacity).
+// New creates a tracer whose span and mark rings each hold capacity
+// events (0 = DefaultCapacity).
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+	return &Tracer{
+		spans: ring[Event]{buf: make([]Event, 0, capacity), limit: capacity},
+		marks: ring[mark]{limit: capacity},
+	}
 }
 
 // Span records an event with a duration starting at cycle.
@@ -213,7 +256,7 @@ func (t *Tracer) Span(kind Kind, slot int, cycle, dur uint64, arg uint64, label 
 		return
 	}
 	t.aggregate(kind, slot, cycle, dur, arg)
-	t.push(Event{Cycle: cycle, Dur: dur, Kind: kind, Slot: int32(slot), Arg: arg, Label: label})
+	t.spans.push(Event{Cycle: cycle, Dur: dur, Kind: kind, Slot: int32(slot), Arg: arg, Label: label})
 }
 
 // Region is an open span minted by BeginAt and closed by EndAt. It exists
@@ -257,23 +300,7 @@ func (t *Tracer) Mark(kind Kind, slot int, cycle uint64, arg uint64, label strin
 		return
 	}
 	t.aggregate(kind, slot, cycle, 0, arg)
-	t.push(Event{Cycle: cycle, Kind: kind, Slot: int32(slot), Arg: arg, Label: label})
-}
-
-func (t *Tracer) push(e Event) {
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-		return
-	}
-	// Flight-recorder wrap: overwrite the oldest event.
-	t.ring[t.next] = e
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-	}
-	t.filled = true
-	t.dropped++
+	t.marks.push(mark{Event{Cycle: cycle, Kind: kind, Slot: int32(slot), Arg: arg, Label: label}, t.spans.emitted()})
 }
 
 // slot returns the metrics bucket for a slot, growing the table on demand.
@@ -380,29 +407,32 @@ func (t *Tracer) SetTaskLabel(slot int, label string) {
 	}
 }
 
-// Events returns the recorded events in chronological (emission) order.
-// After a wrap, only the most recent capacity events remain.
+// Events returns the surviving events of both rings merged in emission
+// order. Until a ring wraps, that is every event ever emitted; after, the
+// oldest spans or marks are gone, but marks outlive the spans around them.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.filled {
-		out := make([]Event, len(t.ring))
-		copy(out, t.ring)
-		return out
+	spans, marks := t.spans.ordered(), t.marks.ordered()
+	out := make([]Event, 0, len(spans)+len(marks))
+	i, first := 0, t.spans.dropped // first: emission index of spans[0]
+	for _, m := range marks {
+		for i < len(spans) && first+uint64(i) < m.spansBefore {
+			out = append(out, spans[i])
+			i++
+		}
+		out = append(out, m.Event)
 	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return append(out, spans[i:]...)
 }
 
-// Dropped returns how many events were overwritten after the ring wrapped.
+// Dropped returns how many events either ring overwrote after wrapping.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.spans.dropped + t.marks.dropped
 }
 
 // Total returns how many events were ever emitted.
@@ -410,5 +440,5 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return t.spans.emitted() + t.marks.emitted()
 }

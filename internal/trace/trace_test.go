@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,43 @@ func TestRingWrapKeepsNewestAndCountsDrops(t *testing.T) {
 	// Aggregates survive the wrap: all ten submits are counted.
 	if got := tr.Metrics().Task(0).Submitted; got != 10 {
 		t.Errorf("submitted = %d, want 10 despite wrap", got)
+	}
+}
+
+// Marks keep their own ring: a flood of spans evicts older spans, never
+// the scheduling marks between them, and Events still merges the survivors
+// in emission order.
+func TestMarksOutliveSpans(t *testing.T) {
+	const capacity, spans = 8, 100
+	markAfter := map[int]bool{10: true, 30: true, 50: true, 70: true, 95: true, 97: true}
+	tr, under := New(capacity), New(0)
+	var emitted, survivors []Event
+	for i := 0; i < spans; i++ {
+		s := Event{Cycle: uint64(i), Dur: 1, Kind: KindCalc, Slot: 1}
+		for _, r := range []*Tracer{tr, under} {
+			r.Span(s.Kind, int(s.Slot), s.Cycle, s.Dur, 0, "")
+		}
+		emitted = append(emitted, s)
+		if i >= spans-capacity {
+			survivors = append(survivors, s)
+		}
+		if markAfter[i] {
+			m := Event{Cycle: uint64(i), Kind: KindPreempt, Slot: 1, Arg: uint64(i)}
+			for _, r := range []*Tracer{tr, under} {
+				r.Mark(m.Kind, int(m.Slot), m.Cycle, m.Arg, "")
+			}
+			emitted = append(emitted, m)
+			survivors = append(survivors, m)
+		}
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, survivors) {
+		t.Errorf("wrapped ring: events\n%v\nwant all 6 marks among the last %d spans\n%v", got, capacity, survivors)
+	}
+	if tr.Dropped() != spans-capacity || tr.Total() != uint64(len(emitted)) {
+		t.Errorf("dropped %d of %d, want %d of %d", tr.Dropped(), tr.Total(), spans-capacity, len(emitted))
+	}
+	if got := under.Events(); !reflect.DeepEqual(got, emitted) || under.Dropped() != 0 {
+		t.Errorf("below capacity: %d events (%d dropped), want the %d-event emission sequence", len(got), under.Dropped(), len(emitted))
 	}
 }
 
