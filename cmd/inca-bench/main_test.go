@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,52 @@ import (
 
 	"inca/internal/bench"
 )
+
+var update = flag.Bool("update", false, "rewrite the transcript goldens under testdata/ from this build")
+
+// TestTranscriptGolden holds the paper-figure experiments' quick-scale
+// transcript to the checked-in golden byte for byte. A change that moves a
+// number regenerates it with `go test ./cmd/inca-bench -run
+// TestTranscriptGolden -update`; the golden's diff is what the change moved.
+// Never edit the golden by hand.
+func TestTranscriptGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five experiments")
+	}
+	golden := filepath.Join("testdata", "quick_e1-e4_e7.txt")
+	var out, errw bytes.Buffer
+	if code := run([]string{"-e", "E1,E2,E3,E4,E7", "-scale", "quick"}, &out, &errw); code != 0 || errw.Len() != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errw.String())
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gl), len(wl)) {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("transcript differs from %s at line %d:\n got: %q\nwant: %q\n(regenerate with -update if the move is intended)", golden, i+1, g, w)
+			}
+		}
+	}
+}
 
 // TestRunCLI drives the flag surface end to end through run(): usage errors
 // exit 1 with a message on stderr, the pre-suite flag spellings are gone, the
