@@ -1,5 +1,5 @@
 // inca-vet statically verifies compiled instruction streams: it decodes
-// each image (v2 and v3 codecs) and runs the internal/progcheck abstract
+// each image (codec v3) and runs the internal/progcheck abstract
 // interpreter over it — DDR bounds and declared layout, restore-group
 // structure, interrupt-point legality, Vir_SAVE reservations, a resume
 // replay from every park point, and an independent re-derivation of the

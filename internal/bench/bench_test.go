@@ -3,11 +3,13 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"inca/internal/accel"
 	"inca/internal/iau"
 )
 
@@ -113,22 +115,31 @@ func TestE3MatchesPaperShape(t *testing.T) {
 	}
 }
 
+// TestE4MatchesEquationOne: the closed form is the paper's 1.67 %, and the
+// simulator's probes at the two worst arrivals measure exactly the responses
+// priced over every position.
 func TestE4MatchesEquationOne(t *testing.T) {
 	tb, err := E4TheoryCheck(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	theory := parsePercent(t, tb.Rows[0][1])
-	modeled := parsePercent(t, tb.Rows[1][1])
-	measured := parsePercent(t, tb.Rows[2][1])
-	if math.Abs(theory-1.67) > 0.05 {
+	if theory := parsePercent(t, tb.Rows[0][1]); math.Abs(theory-1.67) > 0.05 {
 		t.Errorf("closed form %.2f%%, want 1.67%%", theory)
 	}
-	if math.Abs(modeled-theory) > 0.2 {
-		t.Errorf("cycle model %.2f%% far from theory %.2f%%", modeled, theory)
+	if tb.Rows[1][1] != tb.Rows[2][1] {
+		t.Errorf("priced R_l %s, probed %s", tb.Rows[1][1], tb.Rows[2][1])
 	}
-	if measured <= 0 || measured > 2*theory {
-		t.Errorf("measured %.2f%% implausible against theory %.2f%%", measured, theory)
+	var vi, lbl, viAt, lblAt, probeVI, probeLBL uint64
+	var viUs, lblUs float64
+	if _, err := fmt.Sscanf(tb.Notes[1], "worst responses: VI %d cycles (%f us) at cycle %d, layer-by-layer %d cycles (%f us) at cycle %d; probes: %d and %d cycles",
+		&vi, &viUs, &viAt, &lbl, &lblUs, &lblAt, &probeVI, &probeLBL); err != nil {
+		t.Fatalf("note %q: %v", tb.Notes[1], err)
+	}
+	if probeVI != vi || probeLBL != lbl {
+		t.Errorf("probes measured %d and %d cycles, priced %d and %d", probeVI, probeLBL, vi, lbl)
+	}
+	if vi == 0 || vi >= lbl {
+		t.Errorf("VI worst %d cycles not below layer-by-layer %d", vi, lbl)
 	}
 }
 
@@ -188,6 +199,20 @@ func TestE1EndToEnd(t *testing.T) {
 		cpuCost += float64(r.Measurements[iau.PolicyCPULike][i].CostCycles)
 		if c := r.Measurements[iau.PolicyLayerByLayer][i].CostCycles; c != 0 {
 			t.Errorf("position %d: layer-by-layer cost %d, want 0", i, c)
+		}
+	}
+	// Each probe measured exactly the response priced at its cycle.
+	cfg := accel.Big()
+	victim, err := compileVictim(cfg, Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := priceResponses(cfg, victim)
+	for pol, resp := range map[iau.Policy][]uint64{iau.PolicyVI: pr.vi, iau.PolicyLayerByLayer: pr.lbl} {
+		for i, m := range r.Measurements[pol] {
+			if want := pr.at(resp, m.RequestCycle); m.LatencyCycles != want {
+				t.Errorf("%v position %d (cycle %d): probe %d cycles, priced %d", pol, i+1, m.RequestCycle, m.LatencyCycles, want)
+			}
 		}
 	}
 	if vi/lbl > 0.25 {

@@ -42,7 +42,6 @@ func samplePositions(total uint64, n int, seed uint64) []uint64 {
 type E1Result struct {
 	Table        *Table
 	Measurements map[iau.Policy][]Measurement
-	Config       accel.Config
 }
 
 // E1InterruptPositions reproduces Fig. 5(a): interrupt response latency and
@@ -58,10 +57,7 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	total, err := execCycles(cfg, victim)
-	if err != nil {
-		return nil, err
-	}
+	total := accel.SoloReplay(cfg, victim, nil)
 	positions := samplePositions(total, 12, 2020)
 
 	res := &E1Result{
@@ -74,8 +70,8 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 				"VI lat(us)", "VI cost(us)"},
 		},
 		Measurements: make(map[iau.Policy][]Measurement),
-		Config:       cfg,
 	}
+	lat, cost := make(map[iau.Policy]float64), make(map[iau.Policy]float64)
 	for i, pos := range positions {
 		row := []string{fmt.Sprintf("%d", i+1), ""}
 		for _, pol := range []iau.Policy{iau.PolicyCPULike, iau.PolicyLayerByLayer, iau.PolicyVI} {
@@ -87,6 +83,8 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 				row[1] = m.VictimLayer
 			}
 			res.Measurements[pol] = append(res.Measurements[pol], m)
+			lat[pol] += m.LatencyMicros(cfg)
+			cost[pol] += m.CostMicros(cfg)
 			row = append(row,
 				fmt.Sprintf("%.1f", m.LatencyMicros(cfg)),
 				fmt.Sprintf("%.1f", m.CostMicros(cfg)))
@@ -94,19 +92,12 @@ func E1InterruptPositions(scale Scale) (*E1Result, error) {
 		res.Table.AddRow(row...)
 	}
 
-	var sumVI, sumLBL, sumCPU, costVI, costCPU float64
-	for i := range positions {
-		sumVI += res.Measurements[iau.PolicyVI][i].LatencyMicros(cfg)
-		sumLBL += res.Measurements[iau.PolicyLayerByLayer][i].LatencyMicros(cfg)
-		sumCPU += res.Measurements[iau.PolicyCPULike][i].LatencyMicros(cfg)
-		costVI += res.Measurements[iau.PolicyVI][i].CostMicros(cfg)
-		costCPU += res.Measurements[iau.PolicyCPULike][i].CostMicros(cfg)
-	}
 	n := float64(len(positions))
 	res.Table.AddNote("mean latency: cpu-like %.1f us, layer-by-layer %.1f us, VI %.1f us (VI/layer = %.1f%%)",
-		sumCPU/n, sumLBL/n, sumVI/n, 100*sumVI/sumLBL)
+		lat[iau.PolicyCPULike]/n, lat[iau.PolicyLayerByLayer]/n, lat[iau.PolicyVI]/n,
+		100*lat[iau.PolicyVI]/lat[iau.PolicyLayerByLayer])
 	res.Table.AddNote("mean extra cost: cpu-like %.1f us, layer-by-layer 0, VI %.1f us",
-		costCPU/n, costVI/n)
+		cost[iau.PolicyCPULike]/n, cost[iau.PolicyVI]/n)
 	res.Table.AddNote("paper: CPU-like pays the largest cost; layer-by-layer has zero cost but the largest latency; VI has both low")
 	return res, nil
 }

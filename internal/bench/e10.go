@@ -47,10 +47,7 @@ func E10Sensitivity(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			total, err := execCycles(cfg, p)
-			if err != nil {
-				return nil, err
-			}
+			total := accel.SoloReplay(cfg, p, nil)
 			var vi, lbl, cost float64
 			n := 6
 			for i := 1; i <= n; i++ {

@@ -33,18 +33,12 @@ func E12Energy(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	total, err := execCycles(cfg, victim)
-	if err != nil {
-		return nil, err
-	}
+	total := accel.SoloReplay(cfg, victim, nil)
 
 	// Per-inference baseline.
 	var ddr uint64
 	for _, in := range victim.StripVirtual() {
-		switch {
-		case in.Len > 0:
-			ddr += uint64(in.Len)
-		}
+		ddr += uint64(in.Len)
 	}
 	base := em.Estimate(uint64(macs), ddr, total)
 

@@ -7,7 +7,9 @@ import (
 	"inca/internal/accel"
 	"inca/internal/compiler"
 	"inca/internal/iau"
+	"inca/internal/isa"
 	"inca/internal/model"
+	"inca/internal/quant"
 )
 
 // E2NetworkSweep reproduces Fig. 5(b): average and worst interrupt response
@@ -15,9 +17,10 @@ import (
 // ResNet-101, VGG-16, and MobileNetV1, on both the big (16,16,8) and small
 // (8,8,4) accelerator configurations.
 //
-// The per-layer worst-case columns come from the calibrated analytical
-// model; the "meas" columns cross-validate them with end-to-end simulator
-// measurements at sampled request positions on the big configuration.
+// Each conv layer's worst response is exact, the largest over every arrival
+// while the layer runs (convLayerWorsts); the columns average and maximise it
+// over the network's conv layers. The "meas" columns are end-to-end simulator
+// probes at sampled request positions on the big configuration.
 func E2NetworkSweep(scale Scale) (*Table, error) {
 	h, w := scale.inputSize()
 	resnet, err := model.NewResNet(101, 3, h, w)
@@ -36,19 +39,29 @@ func E2NetworkSweep(scale Scale) (*Table, error) {
 			"meas layer(us)", "meas VI(us)"},
 	}
 	for _, g := range nets {
+		q, err := quant.Synthesize(g, 1)
+		if err != nil {
+			return nil, err
+		}
 		for _, cfg := range cfgs {
-			st, err := worstWaits(cfg, g)
+			opt := cfg.CompilerOptions()
+			opt.VI = compiler.VIEvery{}
+			p, err := compiler.Compile(q, opt)
 			if err != nil {
 				return nil, fmt.Errorf("E2 %s/%s: %w", g.Name, cfg.Name, err)
 			}
-			avgL := cfg.CyclesToMicros(meanCycles(st.LayerLBL))
-			worstL := cfg.CyclesToMicros(slices.Max(st.LayerLBL))
-			avgV := cfg.CyclesToMicros(meanCycles(st.LayerVI))
-			worstV := cfg.CyclesToMicros(slices.Max(st.LayerVI))
+			lw, err := convLayerWorsts(cfg, p)
+			if err != nil {
+				return nil, fmt.Errorf("E2 %s/%s: %w", g.Name, cfg.Name, err)
+			}
+			avgL := cfg.CyclesToMicros(meanCycles(lw.LBL))
+			worstL := cfg.CyclesToMicros(slices.Max(lw.LBL))
+			avgV := cfg.CyclesToMicros(meanCycles(lw.VI))
+			worstV := cfg.CyclesToMicros(slices.Max(lw.VI))
 			mL, mV := "-", "-"
 			if cfg.ParaIn == 16 {
 				// Cross-validate on the big configuration.
-				lm, vm, err := e2Measure(cfg, g)
+				lm, vm, err := e2Measure(cfg, p)
 				if err != nil {
 					return nil, fmt.Errorf("E2 measure %s: %w", g.Name, err)
 				}
@@ -61,7 +74,7 @@ func E2NetworkSweep(scale Scale) (*Table, error) {
 				mL, mV)
 		}
 	}
-	t.AddNote("analytical columns: per-layer worst case; measured columns: mean over 4 sampled request positions (big accel)")
+	t.AddNote("exact columns: per conv layer, the worst response over every arrival (plan + cost table sites); measured columns: mean over 4 sampled request positions (big accel)")
 	if scale == Full {
 		t.AddNote("paper: ResNet/VGG layer-by-layer latency is ms to tens of ms; VI brings it under 100 us")
 		t.AddNote("paper: MobileNet layer-by-layer is ~1 ms; VI still reduces it by 2-3 orders of magnitude")
@@ -83,19 +96,12 @@ func meanCycles(xs []uint64) uint64 {
 
 // e2Measure runs end-to-end latency probes on the simulator: mean response
 // latency of both methods over 4 sampled positions.
-func e2Measure(cfg accel.Config, g *model.Network) (layerUs, viUs float64, err error) {
-	p, err := compileNet(cfg, g, compiler.VIEvery{}, 1)
-	if err != nil {
-		return 0, 0, err
-	}
+func e2Measure(cfg accel.Config, p *isa.Program) (layerUs, viUs float64, err error) {
 	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	total, err := execCycles(cfg, p)
-	if err != nil {
-		return 0, 0, err
-	}
+	total := accel.SoloReplay(cfg, p, nil)
 	n := 4
 	for i := 1; i <= n; i++ {
 		pos := total * uint64(i) / uint64(n+1)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 
 	"inca/internal/accel"
+	"inca/internal/compiler"
+	"inca/internal/cost"
+	"inca/internal/isa"
 	"inca/internal/model"
 )
 
@@ -27,7 +30,9 @@ var e3Rows = []e3Row{
 // E3BackupVsConv reproduces the paper's time comparison between data backup
 // (t2) and calculation (t1) across representative layer shapes: the backup a
 // virtual interrupt performs is a small fraction of the computation it
-// avoids waiting for, except in channel-starved first layers.
+// avoids waiting for, except in channel-starved first layers. Each shape is
+// compiled as a one-layer network; t1 is its longest CalcBlob and t2 its
+// largest Vir_SAVE backup (cost.Site.Backup).
 func E3BackupVsConv(scale Scale) (*Table, error) {
 	cfg := accel.Big()
 	t := &Table{
@@ -38,25 +43,17 @@ func E3BackupVsConv(scale Scale) (*Table, error) {
 			"paper t2(us)", "paper t1(us)", "paper ratio"},
 	}
 	for _, r := range e3Rows {
-		spec := model.ConvSpec{
-			Name: "layer", InC: r.ChIn, InH: r.H, InW: r.W,
-			OutC: r.ChOut,
-			OutH: (r.H+2*r.Pad-r.K)/r.Stride + 1,
-			OutW: (r.W+2*r.Pad-r.K)/r.Stride + 1,
-			KH:   r.K, KW: r.K, Stride: r.Stride, Pad: r.Pad, Groups: 1,
+		g := model.New("layer", r.ChIn, r.H, r.W)
+		g.Conv("layer", 0, r.ChOut, r.K, r.Stride, r.Pad, true)
+		p, err := compileNet(cfg, g, compiler.VIEvery{}, 1)
+		if err != nil {
+			return nil, fmt.Errorf("E3 %dx%dx%d: %w", r.H, r.W, r.ChIn, err)
 		}
-		t1 := cfg.CyclesToMicros(worstWaitVI(cfg, spec))
-		// Backup: the pending save window's finished channels for the tile
-		// (BlobsPerSave=2 out-channel groups, capped at the layer width).
-		winCh := 2 * cfg.ParaOut
-		if winCh > spec.OutC {
-			winCh = spec.OutC
+		var backup uint64
+		for _, st := range cost.Summarize(p, cfg).Sites {
+			backup = max(backup, st.Backup)
 		}
-		rows := cfg.ParaHeight
-		if rows > spec.OutH {
-			rows = spec.OutH
-		}
-		t2 := cfg.CyclesToMicros(cfg.XferCycles(uint32(winCh * rows * spec.OutW)))
+		t1, t2 := cfg.CyclesToMicros(longestCalcBlob(cfg, p)), cfg.CyclesToMicros(backup)
 		t.AddRow(
 			fmt.Sprintf("%d", r.H), fmt.Sprintf("%d", r.W),
 			fmt.Sprintf("%d", r.ChIn), fmt.Sprintf("%d", r.ChOut),
@@ -69,4 +66,20 @@ func E3BackupVsConv(scale Scale) (*Table, error) {
 	}
 	t.AddNote("shape preserved: backup is large relative to compute only in the channel-starved first layer and shrinks to a few percent in deep layers")
 	return t, nil
+}
+
+// longestCalcBlob returns the CALC price of p's longest CalcBlob, the chain of
+// CALC_I over a tile's input-channel groups closed by its CALC_F: the
+// computation an interrupt at worst waits out (t1).
+func longestCalcBlob(cfg accel.Config, p *isa.Program) (worst uint64) {
+	var blob uint64
+	for _, in := range p.Instrs {
+		if in.Op == isa.OpCalcI || in.Op == isa.OpCalcF {
+			blob += cfg.InstrCycles(p, in)
+		}
+		if in.Op == isa.OpCalcF {
+			worst, blob = max(worst, blob), 0
+		}
+	}
+	return worst
 }

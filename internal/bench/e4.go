@@ -13,69 +13,50 @@ import (
 // medium layer (80x60 featuremap, 48->32 channels) on the small accelerator
 // (Para=(8,8,4)) should show the VI method reducing the worst-case wait to
 // R_l = Para_out*Para_height / (Ch_out*H) ≈ 1.7% of the layer-by-layer
-// wait. Three values are compared: the closed form, the calibrated cycle
-// model, and an end-to-end measurement on the simulator.
+// wait. Three values are compared: the closed form, the exact worst response
+// over every arrival in the compiled layer (plan + cost table sites), and the
+// simulator's probes at the two arrivals that reach those worsts.
 func E4TheoryCheck(scale Scale) (*Table, error) {
 	cfg := accel.Small()
-	g := model.NewMediumLayerNet()
-	specs, err := g.ConvSpecs()
+	victim, err := compileNet(cfg, model.NewMediumLayerNet(), compiler.VIEvery{}, 5)
 	if err != nil {
 		return nil, err
 	}
-	spec := specs[0]
-
-	theory := theoreticalRl(cfg, spec)
-	cycleModel := measuredRl(cfg, spec)
-
-	// End-to-end: repeat the medium layer enough times that a mid-run
-	// request always lands inside one, then measure both policies.
-	rep := model.New("medium-repeat", 48, 60, 80)
-	cur := 0
-	for i := 0; i < 6; i++ {
-		cur = rep.Conv(fmt.Sprintf("conv%d", i), cur, 48, 3, 1, 1, true)
-	}
-	rep.Conv("convLast", cur, 32, 3, 1, 1, false)
-	victim, err := compileNet(cfg, rep, compiler.VIEvery{}, 5)
-	if err != nil {
-		return nil, err
+	r := priceResponses(cfg, victim)
+	var viWorst, viAt, lblWorst, lblAt uint64
+	for pc := range r.end {
+		if v, at := r.worst(pc, r.vi); v > viWorst {
+			viWorst, viAt = v, at
+		}
+		if l, at := r.worst(pc, r.lbl); l > lblWorst {
+			lblWorst, lblAt = l, at
+		}
 	}
 	probe, err := tinyPreemptor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	total, err := execCycles(cfg, victim)
+	mv, err := measureAt(cfg, iau.PolicyVI, victim, probe, viAt)
 	if err != nil {
 		return nil, err
 	}
-	var viWorst, lblWorst uint64
-	for _, pos := range samplePositions(total, 10, 77) {
-		mv, err := measureAt(cfg, iau.PolicyVI, victim, probe, pos)
-		if err != nil {
-			return nil, err
-		}
-		ml, err := measureAt(cfg, iau.PolicyLayerByLayer, victim, probe, pos)
-		if err != nil {
-			return nil, err
-		}
-		if mv.Preempted && mv.LatencyCycles > viWorst {
-			viWorst = mv.LatencyCycles
-		}
-		if ml.Preempted && ml.LatencyCycles > lblWorst {
-			lblWorst = ml.LatencyCycles
-		}
+	ml, err := measureAt(cfg, iau.PolicyLayerByLayer, victim, probe, lblAt)
+	if err != nil {
+		return nil, err
 	}
-	measured := float64(viWorst) / float64(lblWorst)
 
 	t := &Table{
 		ID:      "E4",
 		Title:   "Eq.(1) worked example — medium layer 80x60, 48->32 ch, Para=(8,8,4)",
 		Columns: []string{"quantity", "R_l (VI worst / layer worst)"},
 	}
-	t.AddRow("closed form (Eq. 1)", fmt.Sprintf("%.2f%%", 100*theory))
-	t.AddRow("calibrated cycle model", fmt.Sprintf("%.2f%%", 100*cycleModel))
-	t.AddRow("measured on simulator", fmt.Sprintf("%.2f%%", 100*measured))
+	t.AddRow("closed form (Eq. 1)", fmt.Sprintf("%.2f%%", 100*theoreticalRl(cfg, victim.Layers[0].OutC, victim.Layers[0].OutH)))
+	t.AddRow("every position (plan + cost table)", fmt.Sprintf("%.2f%%", 100*float64(viWorst)/float64(lblWorst)))
+	t.AddRow("simulator probe at the two worst positions",
+		fmt.Sprintf("%.2f%%", 100*float64(mv.LatencyCycles)/float64(ml.LatencyCycles)))
 	t.AddNote("paper: 8*4/(32*60) = 1.7%%")
-	t.AddNote("measured worst waits: VI %.1f us, layer-by-layer %.1f us",
-		cfg.CyclesToMicros(viWorst), cfg.CyclesToMicros(lblWorst))
+	t.AddNote("worst responses: VI %d cycles (%.1f us) at cycle %d, layer-by-layer %d cycles (%.1f us) at cycle %d; probes: %d and %d cycles",
+		viWorst, cfg.CyclesToMicros(viWorst), viAt, lblWorst, cfg.CyclesToMicros(lblWorst), lblAt,
+		mv.LatencyCycles, ml.LatencyCycles)
 	return t, nil
 }

@@ -45,10 +45,7 @@ func E8SaveGranularity(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E8 bps=%d: %w", bps, err)
 		}
-		total, err := execCycles(cfg, p)
-		if err != nil {
-			return nil, err
-		}
+		total := accel.SoloReplay(cfg, p, nil)
 		var lat, cost, backup float64
 		n := 8
 		for i := 1; i <= n; i++ {
